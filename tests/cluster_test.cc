@@ -13,6 +13,8 @@
 #include "cluster/network.h"
 #include "cluster/partition.h"
 #include "common/thread_pool.h"
+#include "core/multi_gpu_peel.h"
+#include "cpu/bz.h"
 #include "cpu/naive_ref.h"
 #include "perf/trace.h"
 #include "serve/engine.h"
@@ -132,6 +134,57 @@ TEST(ClusterTest, CancelledBeforeStart) {
   options.cancel = &cancel;
   auto result = RunClusterPeel(testing::CliqueGraph(8).graph, options);
   EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+}
+
+// ---------------------------------------------------- Pinned statistics ----
+
+// The simulated statistics of the three scale-out shapes on one fixed graph
+// (the BA graph of RandomSuite). Cluster 2x2 is the only shape with
+// intra-node traffic. Every field is deterministic for any pool size, so a
+// change that moves one must say why.
+TEST(ScaleOutGoldenTest, PinnedStatisticsOnBaGraph) {
+  const auto g = testing::RandomSuite()[2].graph;
+  const std::vector<uint32_t> oracle = RunBz(g).core;
+  // nodes == 0 marks the multigpu row (four workers).
+  struct Row {
+    const char* shape;
+    uint32_t nodes;
+    uint32_t devices_per_node;
+    uint64_t rounds;
+    uint64_t iterations;
+    uint64_t comm_bytes;
+    uint64_t comm_messages;
+    uint64_t peak_device_bytes;
+    double modeled_ms;
+  };
+  const Row rows[] = {
+      {"multigpu x4", 0, 0, 5, 9, 0, 0, 13472, 0.039092100000000005},
+      {"cluster 4x1", 4, 1, 5, 9, 11760, 20, 10696, 0.054051042578124993},
+      {"cluster 2x2", 2, 2, 5, 9, 6776, 5, 11024, 0.057818769140625004},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.shape);
+    StatusOr<DecomposeResult> result = Status::Internal("unset");
+    if (row.nodes == 0) {
+      MultiGpuOptions options;
+      options.num_workers = 4;
+      result = RunMultiGpuPeel(g, options);
+    } else {
+      ClusterOptions options;
+      options.num_nodes = row.nodes;
+      options.devices_per_node = row.devices_per_node;
+      result = RunClusterPeel(g, options);
+    }
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const Metrics& m = result->metrics;
+    EXPECT_EQ(result->core, oracle);
+    EXPECT_EQ(m.rounds, row.rounds);
+    EXPECT_EQ(m.iterations, row.iterations);
+    EXPECT_EQ(m.comm_bytes, row.comm_bytes);
+    EXPECT_EQ(m.comm_messages, row.comm_messages);
+    EXPECT_EQ(m.peak_device_bytes, row.peak_device_bytes);
+    EXPECT_NEAR(m.modeled_ms, row.modeled_ms, 1e-9 * row.modeled_ms);
+  }
 }
 
 // ------------------------------------------------------- Network layer ----
