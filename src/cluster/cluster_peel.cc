@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,9 +17,14 @@ namespace kcore {
 
 namespace {
 
+/// Modeled cost of applying one aggregated border entry at its owner. This
+/// is an assumed charge, not counted work: no kernel performs the apply
+/// (ROADMAP item 15 replaces it with an owner-side apply kernel).
+constexpr double kBorderApplyNsPerEntry = 8.0;
+
 /// One device of one node: a contiguous slice of the node's owned-vertex
-/// list, its CSR resident in its own device memory, and outgoing delta
-/// buffers (intra-node and per-foreign-node).
+/// list, its CSR resident in its own device memory, and its outgoing
+/// decrements.
 struct NodeDevice {
   /// Slice [slice_begin, slice_end) of the owning node's `owned` list.
   size_t slice_begin = 0;
@@ -30,19 +34,23 @@ struct NodeDevice {
   sim::DeviceArray<VertexId> d_neighbors;  // global endpoint IDs
   sim::DeviceArray<uint32_t> d_deg;        // owned slice only
   sim::DeviceArray<VertexId> d_buffer;     // local frontier buffer
-  /// Decrements for vertices of the same node but another device, applied
-  /// by the master between sub-rounds at intra-node (no network) cost.
-  std::unordered_map<VertexId, uint32_t> intra_updates;
-  /// Decrements for foreign-node masters, keyed by destination node;
-  /// drained into the ClusterNetwork per sub-round (where per-link
-  /// aggregation across this node's devices happens).
-  std::unordered_map<uint32_t, std::unordered_map<VertexId, uint32_t>> outbox;
+  /// Decrements for vertices this device does not hold, dense by vertex id,
+  /// plus the ids with a nonzero count (Katana kcore_pull's p_trim and
+  /// dirty list). The master drains both every sub-round.
+  std::vector<uint32_t> delta;
+  std::vector<VertexId> touched;
   PerfCounters counters;  // per-sub-round, merged by master
-  /// Per-slice active-vertex compaction (same policy as the multi-GPU
-  /// workers): positions into the node's owned list.
+  /// Per-slice active-vertex compaction (rebuilt at every halving):
+  /// positions into the node's owned list.
   std::vector<size_t> active;
   bool use_active = false;
   uint64_t local_removed = 0;
+
+  /// Drops undelivered decrements (rebuild, rollback, node loss).
+  void ClearDeltas() {
+    for (VertexId u : touched) delta[u] = 0;
+    touched.clear();
+  }
 };
 
 /// One cluster node: its partition share split among its devices.
@@ -53,8 +61,9 @@ struct Node {
   bool alive = true;
 };
 
-/// Round-boundary checkpoint (see multi_gpu_peel.cc): the verified degree
-/// snapshot, claim flags, and cumulative removed count.
+/// Round-boundary checkpoint: the verified degree snapshot, claim flags, and
+/// cumulative removed count. Restoring it (plus rebuilding repartitioned
+/// nodes from it) puts the whole cluster back at the start of round k.
 struct RoundCheckpoint {
   std::vector<uint32_t> deg;
   std::vector<uint8_t> claimed;
@@ -150,6 +159,7 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
       }
       nodes[node].devices[d].device =
           std::make_unique<sim::Device>(device_options);
+      nodes[node].devices[d].delta.assign(n, 0);
     }
   }
   bool any_faults = false;
@@ -201,8 +211,7 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
     if (d + 1 == devices_per_node) dev.slice_end = owned.size();
     dev.use_active = false;
     dev.active.clear();
-    dev.intra_updates.clear();
-    dev.outbox.clear();
+    dev.ClearDeltas();
     const size_t local_n = dev.slice_end - dev.slice_begin;
 
     std::vector<EdgeIndex> offsets(local_n + 1, 0);
@@ -323,8 +332,7 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
             dev.d_buffer.Reset();
             dev.active.clear();
             dev.use_active = false;
-            dev.intra_updates.clear();
-            dev.outbox.clear();
+            dev.ClearDeltas();
           }
         }
       }
@@ -393,8 +401,7 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
       for (NodeDevice& dev : node.devices) {
         dev.use_active = false;
         dev.active.clear();
-        dev.intra_updates.clear();
-        dev.outbox.clear();
+        dev.ClearDeltas();
         const size_t local_n = dev.slice_end - dev.slice_begin;
         std::vector<uint32_t> deg(std::max<size_t>(1, local_n), 0);
         uint64_t removed_in_slice = 0;
@@ -442,7 +449,22 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
   uint32_t k = 0;
   const uint32_t k_limit = graph.MaxDegree() + 2;
   std::vector<uint32_t> post_deg;
-  std::vector<std::unordered_map<VertexId, uint32_t>> inboxes(num_nodes);
+  // Clamped apply at the owner: decrements past the k-shell boundary are
+  // exactly the ones the single-GPU kernel rolls back (Alg. 3 line 24), so
+  // the result does not depend on delivery order or grouping.
+  const auto apply = [&](VertexId u, uint32_t count) -> uint32_t {
+    uint32_t& du = deg_of(u);
+    if (du <= k) return 0;
+    const uint32_t applied = std::min(count, du - k);
+    du -= applied;
+    return applied;
+  };
+  // The cluster-wide inbox (each vertex has exactly one master), dense by
+  // vertex id with its touched list, and sender[u] = 1 + the last node that
+  // sent u an entry this sub-round (one entry per source node and vertex).
+  std::vector<uint32_t> inbox(n, 0);
+  std::vector<VertexId> inbox_touched;
+  std::vector<uint32_t> sender(n, 0);
   // Comm/compute overlap: exchange time not yet charged to the clock,
   // hidden behind the next sub-round's compute (ClusterOptions::overlap).
   double pending_comm_ns = 0.0;
@@ -543,9 +565,10 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
             scan_slot(slot);
           }
         }
-        // Local cascade. Intra-slice decrements apply directly; same-node
-        // other-device ones buffer at intra-node cost; foreign-node ones
-        // buffer into the per-destination outbox for the network.
+        // Local cascade. Intra-slice decrements apply directly; the rest
+        // accumulate in the device's delta array for the master: same-node
+        // other-device ones at intra-node cost, foreign-node ones over the
+        // network.
         uint64_t processed = 0;
         while (head < tail) {
           const size_t slot = buffer[head++];
@@ -556,8 +579,7 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
             const VertexId u = neighbors[e];
             ++c.edges_traversed;
             ++c.global_reads;
-            const uint32_t u_node = partition.owner[u];
-            if (u_node == node_idx) {
+            if (partition.owner[u] == node_idx) {
               const size_t u_slot = slot_of[u];
               if (u_slot >= dev.slice_begin && u_slot < dev.slice_end) {
                 uint32_t& du = deg[u_slot - dev.slice_begin];
@@ -570,15 +592,13 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
                     ++c.buffer_appends;
                   }
                 }
-              } else {
-                ++dev.intra_updates[u];
-                ++c.global_atomics;
+                continue;
               }
+              ++c.global_atomics;
             } else {
-              // Border edge: buffer the decrement for the network.
-              ++dev.outbox[u_node][u];
-              ++c.messages;
+              ++c.messages;  // border edge
             }
+            if (dev.delta[u]++ == 0) dev.touched.push_back(u);
           }
         }
         dev.local_removed += tail;
@@ -638,66 +658,51 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
         return Status::DeviceLost("cluster node lost mid-round");
       }
 
-      // --- Master, phase 1: intra-node deltas (same node, other device) —
-      // applied at intra-node cost, no network traffic. ---
+      // --- Master: drain every device's deltas. Same-node ones apply at
+      // intra-node (no network) cost. Foreign ones count one entry per
+      // (source node, vertex) on their link and aggregate in the inbox; the
+      // network prices one message per busy link, and the owners apply. ---
       uint64_t intra_applied = 0;
       uint64_t intra_entries = 0;
-      for (Node& node : nodes) {
-        for (NodeDevice& dev : node.devices) {
-          intra_entries += dev.intra_updates.size();
-          for (const auto& [u, count] : dev.intra_updates) {
-            uint32_t& du = deg_of(u);
-            if (du > k) {
-              // Clamp at k: decrements past the k-shell boundary are
-              // exactly the ones the single-GPU kernel rolls back.
-              const uint32_t applied = std::min(count, du - k);
-              du -= applied;
-              intra_applied += applied;
+      for (uint32_t node_idx = 0; node_idx < num_nodes; ++node_idx) {
+        for (NodeDevice& dev : nodes[node_idx].devices) {
+          for (const VertexId u : dev.touched) {
+            const uint32_t count = std::exchange(dev.delta[u], 0);
+            const uint32_t dst = partition.owner[u];
+            if (dst == node_idx) {
+              ++intra_entries;
+              intra_applied += apply(u, count);
+              continue;
             }
+            if (sender[u] != node_idx + 1) {
+              sender[u] = node_idx + 1;
+              network.Buffer(node_idx, dst, 1);
+            }
+            if (inbox[u] == 0) inbox_touched.push_back(u);
+            inbox[u] += count;
           }
-          dev.intra_updates.clear();
+          dev.touched.clear();
         }
       }
       if (intra_entries > 0) {
-        clock.AddOverheadNs(clock.cost().kernel_launch_ns +
-                            static_cast<double>(intra_entries) * 8.0);
-      }
-
-      // --- Master, phase 2: drain outboxes into the network (per-link
-      // aggregation across a node's devices happens here) and flush — one
-      // aggregated message per busy link per sub-round. ---
-      for (uint32_t node_idx = 0; node_idx < num_nodes; ++node_idx) {
-        for (NodeDevice& dev : nodes[node_idx].devices) {
-          for (auto& [dst, deltas] : dev.outbox) {
-            for (const auto& [u, count] : deltas) {
-              network.Buffer(node_idx, dst, u, count);
-            }
-          }
-          dev.outbox.clear();
-        }
+        clock.AddOverheadNs(
+            clock.cost().kernel_launch_ns +
+            static_cast<double>(intra_entries) * kBorderApplyNsPerEntry);
       }
       const double exchange_start_ns = now_ns();
-      const double comm_ns = network.Flush(&inboxes);
+      const double comm_ns = network.Flush();
       uint64_t border_applied = 0;
-      uint64_t border_entries = 0;
-      for (auto& inbox : inboxes) {
-        border_entries += inbox.size();
-        for (const auto& [u, count] : inbox) {
-          uint32_t& du = deg_of(u);
-          if (du > k) {
-            const uint32_t applied = std::min(count, du - k);
-            du -= applied;
-            border_applied += applied;
-          }
-        }
-        inbox.clear();
+      for (const VertexId u : inbox_touched) {
+        border_applied += apply(u, std::exchange(inbox[u], 0));
+        sender[u] = 0;
       }
+      const uint64_t border_entries = inbox_touched.size();
+      inbox_touched.clear();
       if (border_entries > 0) {
         // Deserialize-and-apply at the receiving masters.
-        clock.AddOverheadNs(clock.cost().kernel_launch_ns +
-                            static_cast<double>(border_entries) * 8.0);
-      }
-      if (comm_ns > 0.0) {
+        clock.AddOverheadNs(
+            clock.cost().kernel_launch_ns +
+            static_cast<double>(border_entries) * kBorderApplyNsPerEntry);
         if (tracing) {
           trace.AddComplete(
               "border_exchange", kTraceCatKernel, 0, kTraceTidKernels,
@@ -710,11 +715,11 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
                           static_cast<unsigned long long>(border_applied))},
                {"overlap", options.overlap ? "1" : "0"}});
         }
-        if (options.overlap) {
-          pending_comm_ns += comm_ns;
-        } else {
-          clock.AddOverheadNs(comm_ns);
-        }
+      }
+      if (options.overlap) {
+        pending_comm_ns += comm_ns;
+      } else {
+        clock.AddOverheadNs(comm_ns);
       }
 
       removed.fetch_add(removed_this_subround.load(std::memory_order_relaxed),

@@ -20,10 +20,11 @@ namespace kcore {
 
 /// Options for the simulated multi-node engine (DESIGN.md §14): N nodes ×
 /// M devices peel a partitioned graph; degree decrements that cross a node
-/// border are buffered, aggregated per link, and exchanged through the
-/// modeled network between sub-rounds. The protocol is the multi-GPU
-/// fixpoint lifted one level: round k iterates sub-rounds until no node
-/// removes a vertex and no border delta lands.
+/// border are aggregated per vertex, priced per link, and exchanged through
+/// the modeled network between sub-rounds. Round k iterates sub-rounds
+/// until no node removes a vertex and no border delta lands. This is the
+/// repository's only sub-round fixpoint: RunMultiGpuPeel is its N×1 preset
+/// with contiguous ranges and a free link.
 struct ClusterOptions {
   /// Cluster shape. Vertices are partitioned among nodes; each node splits
   /// its share contiguously among its devices.
@@ -61,10 +62,10 @@ struct ClusterOptions {
   /// Request lifecycle: polled at round boundaries (the cluster barrier).
   const CancelContext* cancel = nullptr;
 
-  /// simprof output: master pid 0 (rounds, border-exchange comm spans,
-  /// recovery markers); device d of node n gets pid 1 + n*M + d
-  /// ("node<n>dev<d>") with per-sub-round compute spans on the node's
-  /// first device plus the devices' own alloc/copy events.
+  /// simprof output: master pid 0 (rounds, one border_exchange span per
+  /// sub-round that moved entries, recovery markers); device d of node n
+  /// gets pid 1 + n*M + d ("node<n>.dev<d>") with per-sub-round compute
+  /// spans plus the device's own alloc/copy events.
   Trace* trace = nullptr;
 
   /// Thread pool running the node lanes; nullptr = DefaultThreadPool().

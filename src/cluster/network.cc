@@ -8,16 +8,10 @@ ClusterNetwork::ClusterNetwork(uint32_t num_nodes,
                                const NetworkOptions& options)
     : num_nodes_(num_nodes),
       options_(options),
-      links_(static_cast<size_t>(num_nodes) * num_nodes),
+      pending_(static_cast<size_t>(num_nodes) * num_nodes, 0),
       link_flushes_(static_cast<size_t>(num_nodes) * num_nodes, 0) {}
 
-void ClusterNetwork::Buffer(uint32_t src, uint32_t dst, VertexId v,
-                            uint32_t count) {
-  links_[LinkIndex(src, dst)][v] += count;
-}
-
-double ClusterNetwork::Flush(
-    std::vector<std::unordered_map<VertexId, uint32_t>>* inboxes) {
+double ClusterNetwork::Flush() {
   // bytes/ns at 1 GB/s == 1 byte/ns.
   const double bytes_per_ns = options_.link_bandwidth_gbps;
   double max_send_ns = 0.0;
@@ -25,10 +19,9 @@ double ClusterNetwork::Flush(
   for (uint32_t src = 0; src < num_nodes_; ++src) {
     double send_ns = 0.0;
     for (uint32_t dst = 0; dst < num_nodes_; ++dst) {
-      auto& link = links_[LinkIndex(src, dst)];
-      if (link.empty()) continue;
+      uint64_t& entries = pending_[LinkIndex(src, dst)];
+      if (entries == 0) continue;
       any = true;
-      const uint64_t entries = link.size();
       const uint64_t bytes = MessageBytes(entries);
       send_ns += bytes_per_ns > 0.0
                      ? static_cast<double>(bytes) / bytes_per_ns
@@ -37,9 +30,7 @@ double ClusterNetwork::Flush(
       ++stats_.messages;
       stats_.entries += entries;
       stats_.bytes_on_wire += bytes;
-      auto& inbox = (*inboxes)[dst];
-      for (const auto& [v, count] : link) inbox[v] += count;
-      link.clear();
+      entries = 0;
     }
     max_send_ns = std::max(max_send_ns, send_ns);
   }
@@ -52,7 +43,7 @@ double ClusterNetwork::Flush(
 
 uint64_t ClusterNetwork::PendingEntries() const {
   uint64_t pending = 0;
-  for (const auto& link : links_) pending += link.size();
+  for (uint64_t entries : pending_) pending += entries;
   return pending;
 }
 

@@ -1,11 +1,9 @@
 #ifndef KCORE_CLUSTER_NETWORK_H_
 #define KCORE_CLUSTER_NETWORK_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
-
-#include "graph/csr_graph.h"
 
 namespace kcore {
 
@@ -38,31 +36,31 @@ struct NetworkStats {
   double comm_ns = 0.0;        ///< Total modeled exchange time.
 };
 
-/// Buffered, aggregating delta exchange between nodes. Producers buffer
-/// per-vertex decrement counts against a destination node; a Flush drains
-/// every busy link as ONE aggregated message, charges the cost model, and
-/// delivers the deltas to per-destination inboxes. The aggregation is the
-/// point: a sub-round's many border decrements to the same master collapse
-/// into one entry, and all entries for one link into one message.
+/// The priced delta exchange between nodes. The caller aggregates a
+/// sub-round's border decrements (one entry per source node and destination
+/// vertex, however many decrements it carries) and buffers each link's entry
+/// count here; a Flush prices every busy link as ONE message. Delivery is
+/// the caller's: the network keeps pricing and traffic statistics only.
 class ClusterNetwork {
  public:
   ClusterNetwork(uint32_t num_nodes, const NetworkOptions& options);
 
   uint32_t num_nodes() const { return num_nodes_; }
 
-  /// Buffers `count` decrements for vertex `v` on the src -> dst link.
-  /// Same-link entries for the same vertex aggregate in place. NOT
-  /// thread-safe — drain per-producer outboxes into it from one thread.
-  void Buffer(uint32_t src, uint32_t dst, VertexId v, uint32_t count);
+  /// Buffers `entries` aggregated delta entries on the src -> dst link for
+  /// the next Flush. NOT thread-safe — call it from one thread.
+  void Buffer(uint32_t src, uint32_t dst, uint64_t entries) {
+    pending_[LinkIndex(src, dst)] += entries;
+  }
 
-  /// Drains every busy link into inboxes[dst] (aggregated counts merged by
-  /// +=), charges the cost model, and returns the modeled exchange time in
-  /// ns: max over nodes of the serialized send time of that node's outgoing
-  /// messages, plus one link latency (all messages are in flight together;
-  /// the slowest sender gates the barrier). A flush with nothing pending
-  /// costs 0 and does not count as a flush. `inboxes` must hold num_nodes
-  /// maps.
-  double Flush(std::vector<std::unordered_map<VertexId, uint32_t>>* inboxes);
+  /// Sends every busy link's entries as one message, charges the cost
+  /// model, and returns the modeled exchange time in ns: max over nodes of
+  /// the serialized send time of that node's outgoing messages, plus one
+  /// link latency (all messages are in flight together; the slowest sender
+  /// gates the barrier). A flush with nothing pending costs 0 and does not
+  /// count as a flush. A link with zero latency and bandwidth is free: its
+  /// messages count but cost 0 ns.
+  double Flush();
 
   /// Buffered entries not yet flushed (test hook).
   uint64_t PendingEntries() const;
@@ -87,8 +85,9 @@ class ClusterNetwork {
 
   uint32_t num_nodes_;
   NetworkOptions options_;
-  /// links_[src * N + dst]: pending aggregated deltas for that link.
-  std::vector<std::unordered_map<VertexId, uint32_t>> links_;
+  /// pending_[src * N + dst]: entries buffered on that link since the last
+  /// flush.
+  std::vector<uint64_t> pending_;
   std::vector<uint64_t> link_flushes_;
   NetworkStats stats_;
 };

@@ -16,40 +16,27 @@ namespace kcore {
 
 /// Options for the multi-GPU extension sketched in the paper's §VII: the
 /// graph is partitioned among worker GPUs, each peeling its own vertices;
-/// degree decrements that cross a partition border are buffered and
-/// aggregated by a master between sub-rounds, and because aggregated
-/// updates can push new border vertices into the k-shell, each round k
-/// iterates sub-rounds to a fixpoint.
+/// degree decrements that cross a partition border are aggregated by a
+/// master between sub-rounds, and because aggregated updates can push new
+/// border vertices into the k-shell, each round k iterates sub-rounds to a
+/// fixpoint. The fleet is a preset of the cluster driver
+/// (cluster/cluster_peel.h; defined in kcore_cluster): num_workers nodes of
+/// one device each, contiguous ranges, and a free link.
 struct MultiGpuOptions {
   /// Number of worker GPUs (vertex ranges are split evenly among them).
   uint32_t num_workers = 4;
   /// Per-worker device configuration (global memory budget applies to each
-  /// worker individually — the point of going multi-GPU).
+  /// worker individually — the point of going multi-GPU). Its `pool` also
+  /// runs the worker lanes (nullptr = DefaultThreadPool()).
   sim::DeviceOptions worker_device;
-  /// Per-partition active-vertex compaction: each worker keeps a dense list
-  /// of its still-unpeeled vertices and scans that instead of its full
-  /// range once survivors drop below `compaction_threshold` (same
-  /// halving-rebuild policy as GpuPeelOptions::active_compaction).
-  bool active_compaction = true;
-  double compaction_threshold = 0.5;
-
-  /// Loop-phase expansion accounting, mirroring GpuPeelOptions. The workers
-  /// emulate their cascade through host pointers (no warp scheduling), so
-  /// the strategy cannot change which instructions run — it selects how the
-  /// popped frontier vertices are attributed to the loop_bin_* meters:
-  /// kWarp/kThread/kBlock book every vertex to that one bin; kAuto
-  /// classifies by adjacency length exactly like the single-GPU engine
-  /// (deg < 32 -> thread, < block_expand_threshold -> warp, else block).
-  ExpandStrategy expand_strategy = ExpandStrategy::kWarp;
-  uint32_t block_expand_threshold = 4096;
 
   /// Degree-ordered vertex renumbering (src/graph/renumber.h) before
   /// sharding: with the contiguous even-split partitioning below, sorting by
   /// degree makes each worker's range degree-homogeneous, so the fleet's
   /// per-sub-round load spread shrinks on skewed graphs. Same wrap as the
   /// single-GPU engine — remap, peel, permute the core numbers back — so it
-  /// composes with compaction, faults, resharding, and tracing; cost lands
-  /// in wall_ms only.
+  /// composes with compaction, faults, repartitioning, and tracing; cost
+  /// lands in wall_ms only.
   bool renumber = false;
 
   /// Per-worker fault plans (cusim/fault_injection.h grammar): entry i
@@ -58,10 +45,10 @@ struct MultiGpuOptions {
   /// worker_device's spec (and KCORE_FAULTS applies to every worker).
   std::vector<std::string> worker_fault_specs;
   /// Recovery policy under fault injection (inert without a fault plan).
-  /// A worker whose device is permanently lost has its vertex range
-  /// resharded onto an adjacent surviving worker and the interrupted round
-  /// re-executed from the last checkpoint; when no worker survives, the
-  /// remaining rounds run on CPU PKC (Metrics.degraded).
+  /// A worker whose device is permanently lost follows the cluster's
+  /// node-loss ladder: its range moves to the lightest surviving worker and
+  /// the interrupted round re-executes from the last checkpoint; when no
+  /// worker survives, the remaining rounds run on CPU PKC (Metrics.degraded).
   ResilienceOptions resilience;
 
   /// Request lifecycle (common/cancellation.h): non-null makes the master
@@ -72,17 +59,18 @@ struct MultiGpuOptions {
 
   /// simprof output (see cusim/simprof.h): non-null enables profiling and
   /// receives the fleet's merged timeline on return — the master as pid 0
-  /// (round ranges, border exchanges, checkpoint/reshard markers) and worker
-  /// w as pid w+1 (per-sub-round spans on the master's modeled clock, plus
-  /// the worker device's own alloc/copy events). The workers peel through
-  /// host pointers rather than Device::Launch, so their kernel-level spans
-  /// are assembled here by the driver, exactly like the modeled clock is.
+  /// (round ranges, border exchanges, checkpoint/repartition markers) and
+  /// worker w as pid w+1, named "node<w>.dev0" (per-sub-round spans on the
+  /// master's modeled clock, plus the worker device's own alloc/copy
+  /// events).
   Trace* trace = nullptr;
 };
 
 /// Multi-GPU peeling. Returns the usual DecomposeResult where
 ///  - metrics.rounds     = peeling rounds (k_max + 1),
 ///  - metrics.iterations = total sub-rounds (border-synchronization steps),
+///  - metrics.comm_bytes/comm_messages = border traffic (comm_ms is 0: the
+///    link is free),
 ///  - metrics.peak_device_bytes = max over workers (per-GPU footprint).
 [[nodiscard]] StatusOr<DecomposeResult> RunMultiGpuPeel(const CsrGraph& graph,
                                           const MultiGpuOptions& options = {});

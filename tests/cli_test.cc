@@ -174,8 +174,8 @@ TEST(CliGolden, MultiGpuTrace) {
   ASSERT_FALSE(trace.empty());
   // One process group per device: the master plus the default 4 workers.
   EXPECT_NE(trace.find("\"master\""), std::string::npos);
-  EXPECT_NE(trace.find("\"worker0\""), std::string::npos);
-  EXPECT_NE(trace.find("\"worker3\""), std::string::npos);
+  EXPECT_NE(trace.find("\"node0.dev0\""), std::string::npos);
+  EXPECT_NE(trace.find("\"node3.dev0\""), std::string::npos);
   EXPECT_NE(trace.find("border_exchange"), std::string::npos);
 }
 

@@ -10,7 +10,6 @@
 
 #include "common/random.h"
 #include "core/gpu_peel.h"
-#include "core/multi_gpu_peel.h"
 #include "cpu/naive_ref.h"
 #include "cusim/block.h"
 #include "cusim/warp_scan.h"
@@ -271,30 +270,6 @@ TEST(ExpandTest, AutoBeatsWarpOnSkewedGraph) {
   EXPECT_GT(c.loop_bin_thread, 0u);
   EXPECT_GT(c.loop_bin_block, 0u);
   EXPECT_LT(aut->metrics.loop_ms, warp->metrics.loop_ms);
-}
-
-// ---------------------------------------------------------- Multi-GPU ----
-
-TEST(ExpandTest, MultiGpuAutoMatchesOracleAndBinsPartition) {
-  const auto g = testing::RandomSuite()[2].graph;  // BA graph (has hubs)
-  const std::vector<uint32_t> oracle = RunNaiveReference(g).core;
-  MultiGpuOptions options;
-  options.num_workers = 3;
-  options.expand_strategy = ExpandStrategy::kAuto;
-  options.block_expand_threshold = 32;
-  auto result = RunMultiGpuPeel(g, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->core, oracle);
-  const Metrics& m = result->metrics;
-  // Same clean-round guard as BinMetersCoverEveryFrontierVertex: recovery
-  // replays double-book the meters under an ambient fault plan.
-  if (m.levels_reexecuted == 0 && m.cpu_fallback_levels == 0 &&
-      !m.degraded) {
-    EXPECT_GT(m.counters.loop_bin_thread, 0u);
-    EXPECT_EQ(m.counters.loop_bin_thread + m.counters.loop_bin_warp +
-                  m.counters.loop_bin_block,
-              g.NumVertices());
-  }
 }
 
 // --------------------------------------------------------- Validation ----

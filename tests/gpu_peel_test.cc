@@ -228,19 +228,14 @@ TEST(GpuPeelCompactionTest, CompactionEngagesAndShrinksScans) {
 }
 
 TEST(GpuPeelCompactionTest, MultiGpuCompactionMatchesAndShrinksScans) {
+  // The fleet always compacts each worker's slice at every halving, so
+  // later scans skip the peeled vertices.
   const auto g = testing::RandomSuite()[4].graph;
-  MultiGpuOptions on_opts;
-  MultiGpuOptions off_opts;
-  off_opts.active_compaction = false;
-  auto on = RunMultiGpuPeel(g, on_opts);
-  auto off = RunMultiGpuPeel(g, off_opts);
-  ASSERT_TRUE(on.ok());
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(on->core, off->core);
-  EXPECT_EQ(on->core, RunNaiveReference(g).core);
-  EXPECT_GT(on->metrics.counters.compactions, 0u);
-  EXPECT_LT(on->metrics.counters.vertices_scanned,
-            off->metrics.counters.vertices_scanned);
+  auto result = RunMultiGpuPeel(g);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->core, RunNaiveReference(g).core);
+  EXPECT_GT(result->metrics.counters.compactions, 0u);
+  EXPECT_GT(result->metrics.counters.scan_vertices_skipped, 0u);
 }
 
 TEST(GpuPeelCompactionTest, InvalidThresholdRejected) {

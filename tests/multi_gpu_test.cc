@@ -1,9 +1,14 @@
+#include <atomic>
+#include <future>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/gpu_peel.h"
 #include "core/multi_gpu_peel.h"
+#include "cpu/bz.h"
 #include "cpu/naive_ref.h"
 #include "test_graphs.h"
 
@@ -112,6 +117,32 @@ TEST(MultiGpuTest, MoreWorkersThanVertices) {
   auto result = RunMultiGpuPeel(g.graph, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->core, g.expected_core);
+}
+
+TEST(MultiGpuTest, PeelsOnTheWorkerPoolBesideABusyDefaultPool) {
+  // A thread parked inside a DefaultThreadPool() batch keeps that pool
+  // busy (it runs one batch at a time). A fleet given its own pool through
+  // worker_device.pool must run its lanes there and still return BZ's
+  // answer.
+  const auto g = testing::RandomSuite()[2].graph;
+  const std::vector<uint32_t> oracle = RunBz(g).core;
+  std::promise<void> parked;
+  std::atomic<bool> release{false};
+  std::thread helper([&] {
+    DefaultThreadPool().ParallelFor(1, [&](uint64_t) {
+      parked.set_value();
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  parked.get_future().wait();
+  ThreadPool pool(2);
+  MultiGpuOptions options;
+  options.worker_device.pool = &pool;
+  auto result = RunMultiGpuPeel(g, options);
+  release.store(true);
+  helper.join();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->core, oracle);
 }
 
 // ---------------------------------------------------- Fault injection -----

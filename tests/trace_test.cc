@@ -334,8 +334,8 @@ TEST(TraceSchema, MultiGpuTimelineUsesOnePidPerDevice) {
   const std::string json = trace.ToChromeJson();
   ExpectBalancedJson(json);
   EXPECT_NE(json.find("\"master\""), std::string::npos);
-  EXPECT_NE(json.find("\"worker0\""), std::string::npos);
-  EXPECT_NE(json.find("\"worker1\""), std::string::npos);
+  EXPECT_NE(json.find("\"node0.dev0\""), std::string::npos);
+  EXPECT_NE(json.find("\"node1.dev0\""), std::string::npos);
 }
 
 TEST(TraceSchema, KernelSummaryTableAggregates) {

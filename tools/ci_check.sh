@@ -37,7 +37,6 @@ fault_suites+='|CompactionEquivalenceTest.CoreNumbersIdenticalOnAndOff'
 fault_suites+='|MultiGpuWorkerCountTest.MatchesOracleOnFullSuite'
 fault_suites+='|MultiGpuTest.AgreesWithSingleGpuKernels'
 fault_suites+='|ExpandStrategyTest.MatchesOracleAcrossVariantsOnFullSuite'
-fault_suites+='|ExpandTest.MultiGpuAutoMatchesOracleAndBinsPartition'
 
 run_tsan=0
 for arg in "$@"; do
@@ -143,21 +142,23 @@ echo "=== release: expansion-strategy legs (kcore_cli, simcheck on) ==="
 } > "$expand_graph"
 base_out="$(build/tools/kcore_cli decompose "$expand_graph" gpu)"
 for strategy in thread warp block auto; do
-  for engine in gpu multigpu; do
-    out="$(build/tools/kcore_cli decompose "$expand_graph" "$engine" \
-      "--expand=$strategy" --simcheck)"
-    sig="$(grep -E '^(k_max|rounds)' <<< "$out")"
-    want="$(grep -E '^(k_max|rounds)' <<< "$base_out")"
-    if [[ "$engine" == gpu && "$sig" != "$want" ]]; then
-      echo "expand=$strategy/$engine diverges from the default engine:" >&2
-      diff <(echo "$want") <(echo "$sig") >&2 || true
-      exit 1
-    fi
-    if [[ "$(grep -E '^k_max' <<< "$out")" != "$(grep -E '^k_max' <<< "$base_out")" ]]; then
-      echo "expand=$strategy/$engine k_max diverges" >&2
-      exit 1
-    fi
-  done
+  out="$(build/tools/kcore_cli decompose "$expand_graph" gpu \
+    "--expand=$strategy" --simcheck)"
+  sig="$(grep -E '^(k_max|rounds)' <<< "$out")"
+  want="$(grep -E '^(k_max|rounds)' <<< "$base_out")"
+  if [[ "$sig" != "$want" ]]; then
+    echo "expand=$strategy diverges from the default engine:" >&2
+    diff <(echo "$want") <(echo "$sig") >&2 || true
+    exit 1
+  fi
+done
+# The scale-out engines do not run the loop kernel, so they reject --expand.
+for engine in multigpu cluster; do
+  if build/tools/kcore_cli decompose "$expand_graph" "$engine" \
+      --expand=auto 2>/dev/null; then
+    echo "--expand was accepted by $engine" >&2
+    exit 1
+  fi
 done
 
 echo "=== release: expand=warp drift guard (zero-cost-when-off) ==="

@@ -38,10 +38,12 @@
 // recovery summary — retries, checkpoints, re-executed levels, devices
 // lost, CPU-fallback levels — after the run. Composes with --simcheck.
 //
-// --expand=<thread|warp|block|auto> (decompose, gpu/multigpu engines):
-// loop-phase frontier expansion granularity (DESIGN.md §8). warp is the
-// paper's Alg. 3 path and the default; auto bins each frontier window by
-// degree. The run prints the bin counters and the loop imbalance ratio.
+// --expand=<thread|warp|block|auto> (decompose, gpu engine): loop-phase
+// frontier expansion granularity (DESIGN.md §8). warp is the paper's Alg. 3
+// path and the default; auto bins each frontier window by degree. The run
+// prints the bin counters and the loop imbalance ratio. The scale-out
+// engines (multigpu, cluster) reject it: their lanes do not run the loop
+// kernel.
 //
 // --nodes=<N> / --partition=<contiguous|degree|edgecut> (decompose, cluster
 // engine): cluster shape and partition strategy for the simulated
@@ -112,8 +114,8 @@ int Usage() {
                "<edge_list> [args]\n"
                "  decompose <edge_list> [gpu|bz|pkc|pkc-o|park|mpm|vetga|"
                "multigpu|cluster|xiang] [--simcheck] [--faults=<spec>]\n"
-               "            [--expand=<thread|warp|block|auto>] [--k=<K>] "
-               "[--renumber] [--fuse]\n"
+               "            [--expand=<thread|warp|block|auto> (gpu only)] "
+               "[--k=<K>] [--renumber] [--fuse]\n"
                "            [--nodes=<N>] "
                "[--partition=<contiguous|degree|edgecut>]\n"
                "            [--trace=<out.json>] [--prof-summary] "
@@ -270,9 +272,10 @@ StatusOr<DecomposeResult> Decompose(const CsrGraph& graph,
   }
   ExpandStrategy expand_strategy = ExpandStrategy::kWarp;
   if (!expand.empty()) {
-    if (engine != "gpu" && engine != "multigpu") {
+    if (engine != "gpu") {
       return Status::InvalidArgument(
-          "--expand only applies to the peeling GPU engines (gpu, multigpu)");
+          "--expand only applies to the gpu engine (the scale-out engines "
+          "do not run the loop kernel)");
     }
     if (!ParseExpandStrategy(expand, &expand_strategy)) {
       return Status::InvalidArgument("unknown --expand strategy: " + expand +
@@ -330,7 +333,6 @@ StatusOr<DecomposeResult> Decompose(const CsrGraph& graph,
     MultiGpuOptions options;
     options.worker_device.check_mode = simcheck;
     options.worker_device.fault_spec = faults;
-    options.expand_strategy = expand_strategy;
     options.renumber = renumber;
     options.cancel = cancel;
     Trace trace;
