@@ -31,8 +31,8 @@ struct MultiGpuOptions {
   sim::DeviceOptions worker_device;
 
   /// Degree-ordered vertex renumbering (src/graph/renumber.h) before
-  /// sharding: with the contiguous even-split partitioning below, sorting by
-  /// degree makes each worker's range degree-homogeneous, so the fleet's
+  /// sharding: with the contiguous even split, sorting by degree makes
+  /// each worker's range degree-homogeneous, so the fleet's
   /// per-sub-round load spread shrinks on skewed graphs. Same wrap as the
   /// single-GPU engine — remap, peel, permute the core numbers back — so it
   /// composes with compaction, faults, repartitioning, and tracing; cost

@@ -54,15 +54,16 @@ struct Metrics {
   uint32_t levels_reexecuted = 0;
   /// Rounds completed by the CPU PKC warm start instead of the device.
   uint32_t cpu_fallback_levels = 0;
-  /// Devices permanently lost mid-decomposition (multi-GPU: resharded onto
-  /// survivors; single-GPU: CPU fallback).
+  /// Devices permanently lost mid-decomposition (multi-GPU and cluster: the
+  /// lost node's share moves to a survivor; single-GPU: CPU fallback).
   uint32_t devices_lost = 0;
   /// Wall-clock time spent inside recovery machinery: checkpointing,
   /// validation, rollback re-execution, and the CPU fallback.
   double recovery_ms = 0.0;
 
-  // Cluster telemetry (the distributed engine only; all zero elsewhere —
-  // see cluster/network.h).
+  // Scale-out telemetry (the cluster engine and its multi-GPU preset, whose
+  // free link leaves comm_ms at 0; all zero elsewhere — see
+  // cluster/network.h).
   /// Modeled time spent in border-delta exchanges. With comm/compute
   /// overlap enabled only the un-hidden portion also appears in modeled_ms.
   double comm_ms = 0.0;

@@ -230,6 +230,19 @@ TEST(CliGolden, ClusterTraceCarriesNodeLanesAndNetwork) {
   EXPECT_NE(trace.find("border_exchange"), std::string::npos);
 }
 
+TEST(CliGolden, ExpandRejectedOffTheGpuEngine) {
+  // The scale-out engines' lanes do not run the loop kernel.
+  for (const std::string engine : {"multigpu", "cluster"}) {
+    CommandResult r = RunCli("decompose " + EdgeListPath() + " " + engine +
+                             " --expand=auto");
+    EXPECT_EQ(r.exit_code, 1) << engine;
+    EXPECT_NE(r.output.find("--expand only applies to the gpu engine"),
+              std::string::npos)
+        << r.output;
+  }
+  EXPECT_NE(RunCli("").output.find("(gpu only)"), std::string::npos);
+}
+
 TEST(CliGolden, ClusterFlagsRejectedOffTheClusterEngine) {
   CommandResult r = RunCli("decompose " + EdgeListPath() + " gpu --nodes=2");
   EXPECT_EQ(r.exit_code, 1);

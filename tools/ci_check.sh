@@ -152,14 +152,6 @@ for strategy in thread warp block auto; do
     exit 1
   fi
 done
-# The scale-out engines do not run the loop kernel, so they reject --expand.
-for engine in multigpu cluster; do
-  if build/tools/kcore_cli decompose "$expand_graph" "$engine" \
-      --expand=auto 2>/dev/null; then
-    echo "--expand was accepted by $engine" >&2
-    exit 1
-  fi
-done
 
 echo "=== release: expand=warp drift guard (zero-cost-when-off) ==="
 # --expand=warp must dispatch to the *original* loop kernel. Two guards:
