@@ -85,24 +85,50 @@ std::string Normalize(const std::string& raw) {
   return out;
 }
 
-/// Writes the paper-figure edge list to a fixed path and returns it.
+/// Writes `content` to /tmp/kcore_cli_test_<name> and returns the path.
 /// gtest_discover_tests runs every TEST as its own process, and ctest -j
-/// runs them concurrently — all sharing this path. Write-to-temp + rename
-/// keeps the file atomically either absent or complete, never truncated
+/// runs them concurrently — all sharing these paths. Write-to-temp + rename
+/// keeps each file atomically either absent or complete, never truncated
 /// mid-rewrite under a sibling test's reader.
-std::string EdgeListPath() {
-  static const std::string path = "/tmp/kcore_cli_test_graph.txt";
+std::string WriteFixture(const std::string& name, const char* content) {
+  const std::string path = "/tmp/kcore_cli_test_" + name;
   const std::string tmp = path + "." + std::to_string(getpid());
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   EXPECT_NE(f, nullptr);
-  std::fputs(
-      "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"  // K4: 3-core
-      "0 4\n4 5\n5 6\n6 4\n"            // 2-shell triangle
-      "5 7\n7 8\n",                     // pendant path
-      f);
+  std::fputs(content, f);
   std::fclose(f);
   EXPECT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
   return path;
+}
+
+/// The paper-figure edge list.
+std::string EdgeListPath() {
+  return WriteFixture("graph.txt",
+                      "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"  // K4: 3-core
+                      "0 4\n4 5\n5 6\n6 4\n"            // 2-shell triangle
+                      "5 7\n7 8\n");                    // pendant path
+}
+
+/// A 5-update stream over EdgeListPath()'s K4: breaks it down to its
+/// 2-core and partly rebuilds it.
+std::string UpdateStreamPath() {
+  return WriteFixture("updates.txt", "- 0 2\n- 1 3\n+ 0 2\n+ 1 3\n- 2 3\n");
+}
+
+/// The `k_max` and `rounds` lines of a decompose run, in order.
+std::string KMaxAndRounds(const std::string& output) {
+  std::string out;
+  size_t start = 0;
+  while (start < output.size()) {
+    size_t nl = output.find('\n', start);
+    if (nl == std::string::npos) nl = output.size();
+    const std::string line = output.substr(start, nl - start);
+    if (line.rfind("k_max ", 0) == 0 || line.rfind("rounds ", 0) == 0) {
+      out += line + "\n";
+    }
+    start = nl + 1;
+  }
+  return out;
 }
 
 std::string ReadFileOrEmpty(const std::string& path) {
@@ -281,6 +307,58 @@ TEST(CliGolden, UsageMentionsProfilingFlags) {
   EXPECT_NE(r.output.find("--timeout-ms=<N>"), std::string::npos);
 }
 
+TEST(CliGolden, UpdateStreamVerifiesAgainstBz) {
+  CommandResult r = RunCli("decompose " + EdgeListPath() + " gpu --updates=" +
+                           UpdateStreamPath() + " --update-batch=2");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("verify       ok (bz)"), std::string::npos)
+      << r.output;
+}
+
+TEST(CliGolden, EmptyUpdateStreamCommitsNoEpoch) {
+  CommandResult r =
+      RunCli("decompose " + EdgeListPath() + " gpu --updates=" +
+             WriteFixture("updates_empty.txt", ""));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("epochs       0\n"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("verify       ok (bz)"), std::string::npos)
+      << r.output;
+}
+
+TEST(CliGolden, SingleKAgreesOnGpuAndXiang) {
+  for (const std::string engine : {"xiang", "gpu"}) {
+    CommandResult r =
+        RunCli("decompose " + EdgeListPath() + " " + engine + " --k=3");
+    EXPECT_EQ(r.exit_code, 0) << engine << "\n" << r.output;
+    EXPECT_NE(r.output.find("core_size    4\n"), std::string::npos)
+        << engine << "\n" << r.output;
+  }
+}
+
+TEST(CliGolden, RenumberAndFuseKeepTheFlaglessAnswer) {
+  const std::string want =
+      KMaxAndRounds(RunCli("decompose " + EdgeListPath() + " gpu").output);
+  ASSERT_EQ(want, "k_max        3\nrounds       4\n");
+  for (const std::string args :
+       {"gpu --renumber", "multigpu --renumber", "gpu --fuse"}) {
+    CommandResult r = RunCli("decompose " + EdgeListPath() + " " + args);
+    EXPECT_EQ(r.exit_code, 0) << args << "\n" << r.output;
+    EXPECT_EQ(KMaxAndRounds(r.output), want) << args << "\n" << r.output;
+  }
+}
+
+TEST(CliGolden, HostEnginesFindTheThreeCore) {
+  for (const std::string engine : {"bz", "pkc", "park", "mpm"}) {
+    CommandResult r = RunCli("decompose " + EdgeListPath() + " " + engine);
+    EXPECT_EQ(r.exit_code, 0) << engine << "\n" << r.output;
+    EXPECT_NE(r.output.find("engine       " + engine + "\n"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("k_max        3\n"), std::string::npos)
+        << engine << "\n" << r.output;
+  }
+}
+
 // ------------------------------------------- exit codes and deadlines ----
 // Exit contract: 0 success, 1 error, 2 usage, 4 degraded success. Every
 // nonzero path emits a one-line structured `error code=... msg="..."` on
@@ -304,6 +382,34 @@ TEST(CliExitCodes, DegradedSingleKExitsFour) {
   EXPECT_EQ(r.exit_code, 4) << r.output;
   EXPECT_NE(r.output.find("core_size    4"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("error code=DegradedSuccess"), std::string::npos);
+}
+
+TEST(CliExitCodes, DegradedUpdateStreamExitsFour) {
+  CommandResult r = RunCli("decompose " + EdgeListPath() + " gpu --updates=" +
+                           UpdateStreamPath() +
+                           " --update-batch=2 '--faults=device_lost@launch=3'");
+  EXPECT_EQ(r.exit_code, 4) << r.output;
+  EXPECT_NE(r.output.find("error code=DegradedSuccess"), std::string::npos)
+      << r.output;
+}
+
+TEST(CliExitCodes, MalformedUpdateLineIsStructuredError) {
+  CommandResult r =
+      RunCli("decompose " + EdgeListPath() + " gpu --updates=" +
+             WriteFixture("updates_bad.txt", "+ 0\n"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("error code=InvalidArgument"), std::string::npos)
+      << r.output;
+}
+
+TEST(CliExitCodes, MalformedOrMisroutedKIsStructuredError) {
+  for (const std::string args :
+       {"gpu --k=0", "gpu --k=abc", "gpu --k=", "bz --k=2"}) {
+    CommandResult r = RunCli("decompose " + EdgeListPath() + " " + args);
+    EXPECT_EQ(r.exit_code, 1) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("error code=InvalidArgument"), std::string::npos)
+        << args << "\n" << r.output;
+  }
 }
 
 TEST(CliExitCodes, TransientFaultsRecoverCleanExitZero) {
