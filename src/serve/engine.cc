@@ -4,7 +4,6 @@
 
 #include "common/strings.h"
 #include "core/gpu_peel.h"
-#include "core/single_k.h"
 #include "cpu/bz.h"
 #include "cpu/dynamic_core.h"
 #include "cpu/mpm.h"

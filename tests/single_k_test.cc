@@ -1,9 +1,8 @@
 // Tests for single-k direct core mining: Xiang's CPU algorithm
-// (src/cpu/xiang.h), the simulated-GPU kernel pipeline (GpuSingleKCore),
-// and the SingleKCore router. Ground truth throughout is the BZ
-// decomposition filtered at k (v is in the k-core iff core(v) >= k), which
-// the direct miners must reproduce for every k — including k past the
-// degeneracy, where the core is empty.
+// (src/cpu/xiang.h) and the simulated-GPU kernel pipeline (GpuSingleKCore).
+// Ground truth throughout is the BZ decomposition filtered at k (v is in the
+// k-core iff core(v) >= k), which the direct miners must reproduce for every
+// k — including k past the degeneracy, where the core is empty.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -11,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "core/gpu_peel.h"
-#include "core/single_k.h"
 #include "cpu/bz.h"
 #include "cpu/xiang.h"
 #include "generators/generators.h"
@@ -222,48 +220,6 @@ TEST(GpuSingleKFaultTest, FallbackDisabledSurfacesLoss) {
       RunGpuSingleKCore(testing::CliqueGraph(6).graph, 3, options, device);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeviceLost()) << result.status().ToString();
-}
-
-// ---------------------------------------------------------------- router ----
-
-TEST(SingleKRouterTest, ExplicitEnginesAgreeWithOracle) {
-  const NamedGraph g = testing::RandomSuite()[1];  // er_dense
-  for (SingleKEngine engine : {SingleKEngine::kCpu, SingleKEngine::kGpu}) {
-    SingleKOptions options;
-    options.engine = engine;
-    options.gpu = SmallGeometry();
-    auto result = SingleKCore(g.graph, 4, options);
-    ASSERT_TRUE(result.ok())
-        << SingleKEngineName(engine) << ": " << result.status().ToString();
-    ExpectMatchesOracle(*result, g.graph, 4, SingleKEngineName(engine));
-  }
-}
-
-TEST(SingleKRouterTest, AutoRoutesByGraphSize) {
-  SingleKOptions options;
-  options.gpu = SmallGeometry();
-  // Tiny graph: below the edge threshold, kAuto answers on CPU (no kernel
-  // launches in the metrics).
-  auto small = SingleKCore(testing::CliqueGraph(6).graph, 3, options);
-  ASSERT_TRUE(small.ok()) << small.status().ToString();
-  EXPECT_EQ(small->metrics.counters.kernel_launches, 0u);
-  // Past the threshold, kAuto goes to the GPU (scan + loop = 2 launches).
-  options.auto_gpu_min_edges = 1;
-  auto large = SingleKCore(testing::CliqueGraph(6).graph, 3, options);
-  ASSERT_TRUE(large.ok()) << large.status().ToString();
-  EXPECT_EQ(large->metrics.counters.kernel_launches, 2u);
-}
-
-TEST(SingleKRouterTest, RejectsKBelowOne) {
-  auto result = SingleKCore(testing::CliqueGraph(4).graph, 0);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsInvalidArgument());
-}
-
-TEST(SingleKRouterTest, EngineNames) {
-  EXPECT_STREQ(SingleKEngineName(SingleKEngine::kAuto), "auto");
-  EXPECT_STREQ(SingleKEngineName(SingleKEngine::kCpu), "cpu");
-  EXPECT_STREQ(SingleKEngineName(SingleKEngine::kGpu), "gpu");
 }
 
 }  // namespace

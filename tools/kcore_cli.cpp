@@ -6,16 +6,18 @@
 //   kcore_cli hierarchy  <edge_list>            HCD forest summary
 //   kcore_cli extract    <edge_list> <k> <out>  write the k-core's edge list
 //
-// Engines: gpu (default), bz, pkc, pkc-o, park, mpm, vetga, multigpu,
-// cluster; plus xiang (single-k queries only, see --k below).
-// Edge lists are SNAP-style text; IDs are recoded densely.
+// Engines: ParseEngineKind's tokens (src/serve/engine.h) — gpu (default),
+// multigpu, cluster, vetga, bz, pkc, park, mpm — plus xiang for --k below.
+// Every decompose mode runs through MakeEngine; the CLI only checks which
+// flags apply and prints. Edge lists are SNAP-style text; IDs are recoded
+// densely.
 //
 // --k=<K> (decompose, gpu/xiang engines): direct single-k core mining — the
-// K-core's membership without a full decomposition. gpu runs one scan+loop
-// kernel pair on the simulated device (src/core/gpu_peel.h GpuSingleKCore);
-// xiang is the sort-free linear CPU algorithm (src/cpu/xiang.h). Composes
-// with --simcheck, --faults, --expand, --renumber, --trace/--prof-summary
-// on the gpu engine.
+// K-core's membership without a full decomposition (Engine::SingleK). gpu
+// runs one scan+loop kernel pair on the simulated device; xiang is the
+// sort-free linear CPU algorithm (src/cpu/xiang.h) every host engine
+// answers with. Composes with --simcheck, --faults, --expand, --renumber,
+// --trace/--prof-summary on the gpu engine.
 //
 // --renumber (decompose, gpu/multigpu engines): degree-ordered vertex
 // renumbering before peeling (src/graph/renumber.h) — core numbers are
@@ -81,28 +83,22 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 
 #include "analysis/core_analysis.h"
 #include "analysis/hierarchy.h"
-#include "cluster/cluster_peel.h"
 #include "common/cancellation.h"
 #include "common/strings.h"
-#include "core/gpu_peel.h"
-#include "core/incremental_core.h"
-#include "core/multi_gpu_peel.h"
-#include "core/single_k.h"
 #include "cpu/bz.h"
-#include "cpu/mpm.h"
-#include "cpu/park.h"
-#include "cpu/pkc.h"
 #include "graph/edge_update.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
-#include "vetga/vetga.h"
+#include "serve/engine.h"
 
 namespace {
 
@@ -112,7 +108,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: kcore_cli <stats|decompose|shells|hierarchy|extract> "
                "<edge_list> [args]\n"
-               "  decompose <edge_list> [gpu|bz|pkc|pkc-o|park|mpm|vetga|"
+               "  decompose <edge_list> [gpu|bz|pkc|park|mpm|vetga|"
                "multigpu|cluster|xiang] [--simcheck] [--faults=<spec>]\n"
                "            [--expand=<thread|warp|block|auto> (gpu only)] "
                "[--k=<K>] [--renumber] [--fuse]\n"
@@ -139,76 +135,30 @@ void PrintDegraded(const char* what) {
   std::fprintf(stderr, "error code=DegradedSuccess msg=\"%s\"\n", what);
 }
 
-/// Strict parse of the --k flag value: digits only, value >= 1. Errors carry
-/// the offending token in the same InvalidArgument context style as the
-/// graph loader's.
-StatusOr<uint32_t> ParseK(const std::string& raw) {
-  if (raw.empty()) {
-    return Status::InvalidArgument("--k=: empty k token (want --k=<K>, K >= 1)");
+/// Strict parse of a count argument: digits only, fits in uint32, and at
+/// least `min`. Errors name the argument and its token in the same
+/// InvalidArgument context style as the graph loader's.
+StatusOr<uint32_t> ParseCount(const char* flag, const std::string& token,
+                              const char* noun, uint32_t min) {
+  if (token.empty()) {
+    return Status::InvalidArgument(
+        StrFormat("%s=: empty %s token", flag, noun));
   }
   uint64_t value = 0;
-  for (char ch : raw) {
+  for (char ch : token) {
     if (ch < '0' || ch > '9') {
-      return Status::InvalidArgument(
-          StrFormat("--k=%s: non-numeric k token: '%s'", raw.c_str(),
-                    raw.c_str()));
+      return Status::InvalidArgument(StrFormat(
+          "%s=%s: non-numeric %s token", flag, token.c_str(), noun));
     }
     value = value * 10 + static_cast<uint64_t>(ch - '0');
     if (value > 0xFFFFFFFFull) {
-      return Status::InvalidArgument(
-          StrFormat("--k=%s: k token overflows uint32", raw.c_str()));
+      return Status::InvalidArgument(StrFormat(
+          "%s=%s: %s overflows uint32", flag, token.c_str(), noun));
     }
   }
-  if (value < 1) {
+  if (value < min) {
     return Status::InvalidArgument(StrFormat(
-        "--k=%s: k must be >= 1 (the 0-core is every vertex)", raw.c_str()));
-  }
-  return static_cast<uint32_t>(value);
-}
-
-/// Strict parse of the --timeout-ms flag value: digits only. 0 is legal (an
-/// already-expired deadline — deterministic fail-fast, used by tests).
-StatusOr<uint64_t> ParseTimeoutMillis(const std::string& raw) {
-  if (raw.empty()) {
-    return Status::InvalidArgument(
-        "--timeout-ms=: empty token (want --timeout-ms=<N>)");
-  }
-  uint64_t value = 0;
-  for (char ch : raw) {
-    if (ch < '0' || ch > '9') {
-      return Status::InvalidArgument(StrFormat(
-          "--timeout-ms=%s: non-numeric timeout token", raw.c_str()));
-    }
-    value = value * 10 + static_cast<uint64_t>(ch - '0');
-    if (value > 0xFFFFFFFFull) {
-      return Status::InvalidArgument(StrFormat(
-          "--timeout-ms=%s: timeout overflows uint32", raw.c_str()));
-    }
-  }
-  return value;
-}
-
-/// Strict parse of the --nodes flag value: digits only, value >= 1.
-StatusOr<uint32_t> ParseNodes(const std::string& raw) {
-  if (raw.empty()) {
-    return Status::InvalidArgument(
-        "--nodes=: empty token (want --nodes=<N>, N >= 1)");
-  }
-  uint64_t value = 0;
-  for (char ch : raw) {
-    if (ch < '0' || ch > '9') {
-      return Status::InvalidArgument(
-          StrFormat("--nodes=%s: non-numeric node count", raw.c_str()));
-    }
-    value = value * 10 + static_cast<uint64_t>(ch - '0');
-    if (value > 0xFFFFFFFFull) {
-      return Status::InvalidArgument(
-          StrFormat("--nodes=%s: node count overflows uint32", raw.c_str()));
-    }
-  }
-  if (value < 1) {
-    return Status::InvalidArgument(
-        StrFormat("--nodes=%s: node count must be >= 1", raw.c_str()));
+        "%s=%s: %s must be >= %u", flag, token.c_str(), noun, min));
   }
   return static_cast<uint32_t>(value);
 }
@@ -218,206 +168,163 @@ StatusOr<BuiltGraph> Load(const char* path) {
   return BuildGraph(edges);
 }
 
+/// The decompose command's engine token and flags, as given.
+struct DecomposeFlags {
+  std::string engine = "gpu";
+  bool simcheck = false;
+  bool prof_summary = false;
+  bool renumber = false;
+  bool fuse = false;
+  std::optional<std::string> k;
+  std::string faults;
+  std::string expand;
+  std::string trace_path;
+  std::string updates_path;
+  std::string update_batch;
+  std::string nodes;
+  std::string partition;
+  /// The command's deadline; nullptr = none.
+  const CancelContext* cancel = nullptr;
+
+  bool profiling() const { return !trace_path.empty() || prof_summary; }
+  /// True when the engine token is one of `engines`.
+  bool EngineIn(std::initializer_list<const char*> engines) const {
+    return std::find(engines.begin(), engines.end(), engine) != engines.end();
+  }
+};
+
+/// The engine configuration the flags describe: the device flags land on
+/// every engine's device template, the rest on the options they name.
+/// Applicability is checked by the caller.
+StatusOr<EngineConfig> MakeConfig(const DecomposeFlags& flags) {
+  EngineConfig config;
+  config.device.check_mode = flags.simcheck;
+  config.device.fault_spec = flags.faults;
+  config.multi_gpu.worker_device = config.device;
+  config.cluster.node_device = config.device;
+  config.vetga.device = config.device;
+  config.gpu.renumber = flags.renumber;
+  config.multi_gpu.renumber = flags.renumber;
+  config.gpu.fuse_scan_compact = flags.fuse;
+  if (!flags.expand.empty() &&
+      !ParseExpandStrategy(flags.expand, &config.gpu.expand_strategy)) {
+    return Status::InvalidArgument("unknown --expand strategy: " +
+                                   flags.expand +
+                                   " (want thread|warp|block|auto)");
+  }
+  if (!flags.nodes.empty()) {
+    KCORE_ASSIGN_OR_RETURN(
+        config.cluster.num_nodes,
+        ParseCount("--nodes", flags.nodes, "node count", 1));
+  }
+  if (!flags.partition.empty() &&
+      !ParsePartitionStrategy(flags.partition, &config.cluster.partition)) {
+    return Status::InvalidArgument("unknown --partition strategy: " +
+                                   flags.partition +
+                                   " (want contiguous|degree|edgecut)");
+  }
+  return config;
+}
+
+/// Writes/summarizes a finished run's trace per the requested flags.
+Status FinishTrace(const DecomposeFlags& flags, const Trace& trace,
+                   std::string* summary) {
+  if (!flags.trace_path.empty()) {
+    KCORE_RETURN_IF_ERROR(trace.WriteChromeTrace(flags.trace_path));
+  }
+  if (flags.prof_summary) *summary = trace.KernelSummaryTable();
+  return Status::OK();
+}
+
 StatusOr<DecomposeResult> Decompose(const CsrGraph& graph,
-                                    const std::string& engine, bool simcheck,
-                                    const std::string& faults,
-                                    const std::string& expand, bool renumber,
-                                    bool fuse, const std::string& trace_path,
-                                    bool prof_summary,
-                                    const std::string& nodes_token,
-                                    const std::string& partition_token,
-                                    const CancelContext* cancel,
+                                    const DecomposeFlags& flags,
                                     std::string* summary) {
-  if (engine == "xiang") {
+  if (flags.engine == "xiang") {
     return Status::InvalidArgument(
         "engine xiang answers single-k queries only; pass --k=<K>");
   }
-  if (renumber && engine != "gpu" && engine != "multigpu") {
+  const bool device_engine =
+      flags.EngineIn({"gpu", "vetga", "multigpu", "cluster"});
+  if (flags.renumber && !flags.EngineIn({"gpu", "multigpu"})) {
     return Status::InvalidArgument(
         "--renumber only applies to the peeling GPU engines (gpu, multigpu)");
   }
-  if (fuse && engine != "gpu") {
+  if (flags.fuse && flags.engine != "gpu") {
     return Status::InvalidArgument(
         "--fuse only applies to the gpu engine (scan->compact kernel fusion)");
   }
-  if (simcheck && engine != "gpu" && engine != "vetga" &&
-      engine != "multigpu" && engine != "cluster") {
+  if (flags.simcheck && !device_engine) {
     return Status::InvalidArgument(
         "--simcheck only applies to the GPU engines (gpu, vetga, multigpu, "
         "cluster)");
   }
-  const bool profiling = !trace_path.empty() || prof_summary;
-  if (profiling && engine != "gpu" && engine != "vetga" &&
-      engine != "multigpu" && engine != "cluster") {
+  if (flags.profiling() && !device_engine) {
     return Status::InvalidArgument(
         "--trace/--prof-summary only apply to the GPU engines "
         "(gpu, vetga, multigpu, cluster)");
   }
-  if (!faults.empty() && engine != "gpu" && engine != "multigpu" &&
-      engine != "cluster") {
+  if (!flags.faults.empty() &&
+      !flags.EngineIn({"gpu", "multigpu", "cluster"})) {
     return Status::InvalidArgument(
         "--faults only applies to the resilient GPU engines (gpu, multigpu, "
         "cluster)");
   }
-  if (cancel != nullptr && engine != "gpu" && engine != "vetga" &&
-      engine != "multigpu" && engine != "cluster") {
+  if (flags.cancel != nullptr && !device_engine) {
     return Status::InvalidArgument(
         "--timeout-ms only applies to the GPU engines (gpu, vetga, multigpu, "
         "cluster), which check the deadline at round boundaries");
   }
-  if ((!nodes_token.empty() || !partition_token.empty()) &&
-      engine != "cluster") {
+  if ((!flags.nodes.empty() || !flags.partition.empty()) &&
+      flags.engine != "cluster") {
     return Status::InvalidArgument(
         "--nodes/--partition only apply to the cluster engine");
   }
-  ExpandStrategy expand_strategy = ExpandStrategy::kWarp;
-  if (!expand.empty()) {
-    if (engine != "gpu") {
-      return Status::InvalidArgument(
-          "--expand only applies to the gpu engine (the scale-out engines "
-          "do not run the loop kernel)");
-    }
-    if (!ParseExpandStrategy(expand, &expand_strategy)) {
-      return Status::InvalidArgument("unknown --expand strategy: " + expand +
-                                     " (want thread|warp|block|auto)");
-    }
+  if (!flags.expand.empty() && flags.engine != "gpu") {
+    return Status::InvalidArgument(
+        "--expand only applies to the gpu engine (the scale-out engines "
+        "do not run the loop kernel)");
   }
-  // Writes/summarizes a finished trace per the requested flags.
-  const auto finish_trace = [&](const Trace& trace) -> Status {
-    if (!trace_path.empty()) {
-      KCORE_RETURN_IF_ERROR(trace.WriteChromeTrace(trace_path));
-    }
-    if (prof_summary) *summary = trace.KernelSummaryTable();
-    return Status::OK();
-  };
-  if (engine == "gpu") {
-    sim::DeviceOptions device_options;
-    device_options.check_mode = simcheck;
-    device_options.fault_spec = faults;
-    device_options.profile = profiling;
-    GpuPeelOptions options;
-    options.expand_strategy = expand_strategy;
-    options.renumber = renumber;
-    options.fuse_scan_compact = fuse;
-    options.cancel = cancel;
-    sim::Device device(device_options);
-    GpuPeelDecomposer decomposer(&device, options);
-    auto result = decomposer.Decompose(graph);
-    if (result.ok() && profiling && device.profiler() != nullptr) {
-      KCORE_RETURN_IF_ERROR(finish_trace(device.profiler()->trace()));
-    }
-    return result;
+  KCORE_ASSIGN_OR_RETURN(EngineConfig config, MakeConfig(flags));
+  EngineKind kind;
+  if (!ParseEngineKind(flags.engine, &kind)) {
+    return Status::InvalidArgument("unknown engine: " + flags.engine);
   }
-  if (engine == "bz") return RunBz(graph);
-  if (engine == "pkc") return RunPkc(graph);
-  if (engine == "pkc-o") {
-    PkcOptions options;
-    options.variant = PkcVariant::kOriginal;
-    return RunPkc(graph, options);
-  }
-  if (engine == "park") return RunParK(graph);
-  if (engine == "mpm") return RunMpm(graph);
-  if (engine == "vetga") {
-    VetgaConfig config;
-    config.device.check_mode = simcheck;
-    config.cancel = cancel;
-    Trace trace;
-    if (profiling) config.trace = &trace;
-    auto result = RunVetga(graph, config);
-    if (result.ok() && profiling) {
-      KCORE_RETURN_IF_ERROR(finish_trace(trace));
-    }
-    return result;
-  }
-  if (engine == "multigpu") {
-    MultiGpuOptions options;
-    options.worker_device.check_mode = simcheck;
-    options.worker_device.fault_spec = faults;
-    options.renumber = renumber;
-    options.cancel = cancel;
-    Trace trace;
-    if (profiling) options.trace = &trace;
-    auto result = RunMultiGpuPeel(graph, options);
-    if (result.ok() && profiling) {
-      KCORE_RETURN_IF_ERROR(finish_trace(trace));
-    }
-    return result;
-  }
-  if (engine == "cluster") {
-    ClusterOptions options;
-    options.node_device.check_mode = simcheck;
-    options.node_device.fault_spec = faults;
-    options.cancel = cancel;
-    if (!nodes_token.empty()) {
-      KCORE_ASSIGN_OR_RETURN(options.num_nodes, ParseNodes(nodes_token));
-    }
-    if (!partition_token.empty() &&
-        !ParsePartitionStrategy(partition_token, &options.partition)) {
-      return Status::InvalidArgument(
-          "unknown --partition strategy: " + partition_token +
-          " (want contiguous|degree|edgecut)");
-    }
-    Trace trace;
-    if (profiling) options.trace = &trace;
-    auto result = RunClusterPeel(graph, options);
-    if (result.ok() && profiling) {
-      KCORE_RETURN_IF_ERROR(finish_trace(trace));
-    }
-    return result;
-  }
-  return Status::InvalidArgument("unknown engine: " + engine);
+  Trace trace;
+  EngineRunContext ctx;
+  ctx.cancel = flags.cancel;
+  if (flags.profiling()) ctx.trace = &trace;
+  auto result = MakeEngine(kind, std::move(config))->Decompose(graph, ctx);
+  if (result.ok()) KCORE_RETURN_IF_ERROR(FinishTrace(flags, trace, summary));
+  return result;
 }
 
-/// Routes a --k single-k query through the SingleKCore entry point
-/// (src/core/single_k.h). gpu composes with the device flags; xiang is pure
-/// CPU and rejects them.
-StatusOr<SingleKCoreResult> SingleK(const CsrGraph& graph,
-                                    const std::string& engine, uint32_t k,
-                                    bool simcheck, const std::string& faults,
-                                    const std::string& expand, bool renumber,
-                                    const std::string& trace_path,
-                                    bool prof_summary,
-                                    const CancelContext* cancel,
+/// A --k single-k query through Engine::SingleK. gpu composes with the
+/// device flags; xiang is any host engine's CPU answer and rejects them.
+StatusOr<SingleKCoreResult> SingleK(const CsrGraph& graph, uint32_t k,
+                                    const DecomposeFlags& flags,
                                     std::string* summary) {
-  if (engine != "gpu" && engine != "xiang") {
+  if (!flags.EngineIn({"gpu", "xiang"})) {
     return Status::InvalidArgument(
         "--k single-k mining supports the gpu and xiang engines only (got " +
-        engine + ")");
+        flags.engine + ")");
   }
-  if (engine == "xiang") {
-    if (simcheck || !faults.empty() || !expand.empty() || renumber ||
-        !trace_path.empty() || prof_summary || cancel != nullptr) {
+  if (flags.engine == "xiang") {
+    if (flags.simcheck || !flags.faults.empty() || !flags.expand.empty() ||
+        flags.renumber || flags.profiling() || flags.cancel != nullptr) {
       return Status::InvalidArgument(
           "device flags (--simcheck/--faults/--expand/--renumber/--trace/"
           "--prof-summary/--timeout-ms) do not apply to the xiang CPU engine");
     }
-    SingleKOptions options;
-    options.engine = SingleKEngine::kCpu;
-    return SingleKCore(graph, k, options);
+    return MakeEngine(EngineKind::kBz)->SingleK(graph, k, {});
   }
-  SingleKOptions options;
-  options.engine = SingleKEngine::kGpu;
-  options.gpu.renumber = renumber;
-  options.gpu.cancel = cancel;
-  if (!expand.empty() &&
-      !ParseExpandStrategy(expand, &options.gpu.expand_strategy)) {
-    return Status::InvalidArgument("unknown --expand strategy: " + expand +
-                                   " (want thread|warp|block|auto)");
-  }
-  sim::DeviceOptions device_options;
-  device_options.check_mode = simcheck;
-  device_options.fault_spec = faults;
-  device_options.profile = !trace_path.empty() || prof_summary;
-  sim::Device device(device_options);
-  options.device = &device;
-  auto result = SingleKCore(graph, k, options);
-  if (result.ok() && device.profiler() != nullptr) {
-    const Trace& trace = device.profiler()->trace();
-    if (!trace_path.empty()) {
-      KCORE_RETURN_IF_ERROR(trace.WriteChromeTrace(trace_path));
-    }
-    if (prof_summary) *summary = trace.KernelSummaryTable();
-  }
+  KCORE_ASSIGN_OR_RETURN(EngineConfig config, MakeConfig(flags));
+  Trace trace;
+  EngineRunContext ctx;
+  ctx.cancel = flags.cancel;
+  if (flags.profiling()) ctx.trace = &trace;
+  auto result =
+      MakeEngine(EngineKind::kGpu, std::move(config))->SingleK(graph, k, ctx);
+  if (result.ok()) KCORE_RETURN_IF_ERROR(FinishTrace(flags, trace, summary));
   return result;
 }
 
@@ -432,34 +339,26 @@ int CmdStats(const CsrGraph& graph) {
   return 0;
 }
 
-int CmdDecompose(const CsrGraph& graph, const std::string& engine,
-                 bool simcheck, const std::string& faults,
-                 const std::string& expand, bool renumber, bool fuse,
-                 const std::string& trace_path, bool prof_summary,
-                 const std::string& nodes_token,
-                 const std::string& partition_token,
-                 const CancelContext* cancel) {
+int CmdDecompose(const CsrGraph& graph, const DecomposeFlags& flags) {
   std::string summary;
-  auto result = Decompose(graph, engine, simcheck, faults, expand, renumber,
-                          fuse, trace_path, prof_summary, nodes_token,
-                          partition_token, cancel, &summary);
+  auto result = Decompose(graph, flags, &summary);
   if (!result.ok()) {
     PrintError(result.status());
     return 1;
   }
   std::printf("engine       %s\nk_max        %u\nrounds       %u\n"
               "modeled_ms   %.3f\nwall_ms      %.3f\npeak_device  %s\n",
-              engine.c_str(), result->MaxCore(), result->metrics.rounds,
+              flags.engine.c_str(), result->MaxCore(), result->metrics.rounds,
               result->metrics.modeled_ms, result->metrics.wall_ms,
               HumanBytes(result->metrics.peak_device_bytes).c_str());
-  if (simcheck) std::printf("simcheck     clean\n");
-  if (renumber) {
+  if (flags.simcheck) std::printf("simcheck     clean\n");
+  if (flags.renumber) {
     std::printf("--- renumber ---\n"
                 "renumber        degree-ordered\n"
                 "loop_imbalance  %.3f\n",
                 result->metrics.loop_imbalance);
   }
-  if (fuse) {
+  if (flags.fuse) {
     const PerfCounters& c = result->metrics.counters;
     std::printf("--- fusion ---\n"
                 "kernel_launches %llu\n"
@@ -467,7 +366,7 @@ int CmdDecompose(const CsrGraph& graph, const std::string& engine,
                 static_cast<unsigned long long>(c.kernel_launches),
                 static_cast<unsigned long long>(c.compactions));
   }
-  if (!expand.empty()) {
+  if (!flags.expand.empty()) {
     const PerfCounters& c = result->metrics.counters;
     std::printf("--- expansion ---\n"
                 "expand          %s\n"
@@ -475,13 +374,13 @@ int CmdDecompose(const CsrGraph& graph, const std::string& engine,
                 "bin_warp        %llu\n"
                 "bin_block       %llu\n"
                 "loop_imbalance  %.3f\n",
-                expand.c_str(),
+                flags.expand.c_str(),
                 static_cast<unsigned long long>(c.loop_bin_thread),
                 static_cast<unsigned long long>(c.loop_bin_warp),
                 static_cast<unsigned long long>(c.loop_bin_block),
                 result->metrics.loop_imbalance);
   }
-  if (!faults.empty()) {
+  if (!flags.faults.empty()) {
     const Metrics& m = result->metrics;
     std::printf("--- recovery summary ---\n"
                 "retries             %u\n"
@@ -495,7 +394,7 @@ int CmdDecompose(const CsrGraph& graph, const std::string& engine,
                 m.devices_lost, m.cpu_fallback_levels, m.recovery_ms,
                 m.degraded ? "yes (finished on CPU warm-start)" : "no");
   }
-  if (engine == "cluster") {
+  if (flags.engine == "cluster") {
     const Metrics& m = result->metrics;
     const double compute_ms = m.modeled_ms - m.comm_ms;
     std::printf("--- cluster ---\n"
@@ -505,14 +404,16 @@ int CmdDecompose(const CsrGraph& graph, const std::string& engine,
                 "comm_bytes      %s\n"
                 "comm_messages   %llu\n"
                 "comm/compute    %.3f\n",
-                nodes_token.empty() ? "2" : nodes_token.c_str(),
-                partition_token.empty() ? "degree" : partition_token.c_str(),
+                flags.nodes.empty() ? "2" : flags.nodes.c_str(),
+                flags.partition.empty() ? "degree" : flags.partition.c_str(),
                 m.comm_ms, HumanBytes(m.comm_bytes).c_str(),
                 static_cast<unsigned long long>(m.comm_messages),
                 compute_ms > 0.0 ? m.comm_ms / compute_ms : 0.0);
   }
-  if (!trace_path.empty()) std::printf("trace        %s\n", trace_path.c_str());
-  if (prof_summary) {
+  if (!flags.trace_path.empty()) {
+    std::printf("trace        %s\n", flags.trace_path.c_str());
+  }
+  if (flags.prof_summary) {
     std::printf("--- kernel summary ---\n%s", summary.c_str());
   }
   if (result->metrics.degraded) {
@@ -525,26 +426,22 @@ int CmdDecompose(const CsrGraph& graph, const std::string& engine,
   return 0;
 }
 
-int CmdSingleK(const CsrGraph& graph, const std::string& engine, uint32_t k,
-               bool simcheck, const std::string& faults,
-               const std::string& expand, bool renumber,
-               const std::string& trace_path, bool prof_summary,
-               const CancelContext* cancel) {
+int CmdSingleK(const CsrGraph& graph, uint32_t k,
+               const DecomposeFlags& flags) {
   std::string summary;
-  auto result = SingleK(graph, engine, k, simcheck, faults, expand, renumber,
-                        trace_path, prof_summary, cancel, &summary);
+  auto result = SingleK(graph, k, flags, &summary);
   if (!result.ok()) {
     PrintError(result.status());
     return 1;
   }
   std::printf("engine       %s\nk            %u\ncore_size    %s\n"
               "modeled_ms   %.3f\nwall_ms      %.3f\npeak_device  %s\n",
-              engine.c_str(), result->k,
+              flags.engine.c_str(), result->k,
               WithCommas(result->vertices.size()).c_str(),
               result->metrics.modeled_ms, result->metrics.wall_ms,
               HumanBytes(result->metrics.peak_device_bytes).c_str());
-  if (simcheck) std::printf("simcheck     clean\n");
-  if (!faults.empty()) {
+  if (flags.simcheck) std::printf("simcheck     clean\n");
+  if (!flags.faults.empty()) {
     const Metrics& m = result->metrics;
     std::printf("--- recovery summary ---\n"
                 "retries             %u\n"
@@ -556,8 +453,10 @@ int CmdSingleK(const CsrGraph& graph, const std::string& engine, uint32_t k,
                 m.recovery_ms,
                 m.degraded ? "yes (answered by CPU xiang)" : "no");
   }
-  if (!trace_path.empty()) std::printf("trace        %s\n", trace_path.c_str());
-  if (prof_summary) {
+  if (!flags.trace_path.empty()) {
+    std::printf("trace        %s\n", flags.trace_path.c_str());
+  }
+  if (flags.prof_summary) {
     std::printf("--- kernel summary ---\n%s", summary.c_str());
   }
   if (result->metrics.degraded) {
@@ -568,22 +467,21 @@ int CmdSingleK(const CsrGraph& graph, const std::string& engine, uint32_t k,
   return 0;
 }
 
-/// Incremental streaming mode (`decompose --updates=<file>`): the initial
-/// graph is decomposed once, then the stream is applied batch by batch on
-/// the GPU-resident incremental engine, one printed line per committed
-/// epoch, with a final bit-for-bit verification against the BZ oracle.
-int CmdUpdates(const BuiltGraph& built, const std::string& engine,
-               const std::string& updates_path, uint64_t batch_size,
-               bool simcheck, const std::string& faults,
-               const CancelContext* cancel) {
+/// Incremental streaming mode (`decompose --updates=<file>`): the stream is
+/// applied batch by batch through the gpu engine's ApplyUpdates, which
+/// decomposes the initial graph once and keeps it device-resident; one
+/// printed line per committed epoch, then a bit-for-bit verification of the
+/// final coreness against the BZ oracle.
+int CmdUpdates(const BuiltGraph& built, const DecomposeFlags& flags,
+               uint32_t batch_size) {
   const CsrGraph& graph = built.graph;
-  if (engine != "gpu") {
+  if (flags.engine != "gpu") {
     PrintError(Status::InvalidArgument(
         "--updates applies to the gpu engine (the incremental maintenance "
-        "engine); got " + engine));
+        "engine); got " + flags.engine));
     return 1;
   }
-  auto stream = LoadUpdateStreamText(updates_path);
+  auto stream = LoadUpdateStreamText(flags.updates_path);
   if (!stream.ok()) {
     PrintError(stream.status());
     return 1;
@@ -613,18 +511,17 @@ int CmdUpdates(const BuiltGraph& built, const std::string& engine,
       e.v = iv->second;
     }
   }
-  sim::DeviceOptions device_options;
-  device_options.check_mode = simcheck;
-  device_options.fault_spec = faults;
-  IncrementalOptions options;
-  options.cancel = cancel;
-  auto engine_or = IncrementalCoreEngine::Create(graph, options,
-                                                 device_options);
-  if (!engine_or.ok()) {
-    PrintError(engine_or.status());
+  auto config = MakeConfig(flags);
+  if (!config.ok()) {
+    PrintError(config.status());
     return 1;
   }
-  auto& inc = *engine_or;
+  const std::unique_ptr<Engine> engine =
+      MakeEngine(EngineKind::kGpu, std::move(*config));
+  EngineRunContext ctx;
+  ctx.cancel = flags.cancel;
+  uint64_t epochs = 0;
+  std::vector<uint32_t> core;
   double total_modeled_ms = 0.0;
   uint64_t total_changed = 0;
   uint64_t full_repeels = 0;
@@ -632,8 +529,8 @@ int CmdUpdates(const BuiltGraph& built, const std::string& engine,
   for (size_t off = 0; off < stream->size(); off += batch_size) {
     const size_t len =
         std::min<size_t>(batch_size, stream->size() - off);
-    auto result = inc->ApplyUpdates(
-        std::span<const EdgeUpdate>(stream->data() + off, len));
+    auto result = engine->ApplyUpdates(
+        graph, std::span<const EdgeUpdate>(stream->data() + off, len), ctx);
     if (!result.ok()) {
       PrintError(result.status());
       return 1;
@@ -647,15 +544,24 @@ int CmdUpdates(const BuiltGraph& built, const std::string& engine,
                 result->full_repeel ? "  [full re-peel]" : "",
                 result->compacted ? "  [compacted]" : "",
                 result->degraded ? "  [degraded]" : "");
+    epochs = result->epoch;
+    core = std::move(result->core);
     total_modeled_ms += result->metrics.modeled_ms;
     total_changed += result->changed.size();
     full_repeels += result->full_repeel ? 1 : 0;
     degraded_any |= result->degraded;
   }
   // The stream's end state must match a from-scratch decomposition — the
-  // CLI doubles as a smoke harness for the incremental path.
-  const DecomposeResult oracle = RunBz(inc->CurrentGraph());
-  if (oracle.core != inc->core()) {
+  // CLI doubles as a smoke harness for the incremental path. An empty
+  // stream commits no epoch, so the input graph is the end state.
+  StatusOr<CsrGraph> updated = graph;
+  if (epochs > 0) updated = engine->UpdatedGraph();
+  if (!updated.ok()) {
+    PrintError(updated.status());
+    return 1;
+  }
+  const DecomposeResult oracle = RunBz(*updated);
+  if (epochs > 0 && oracle.core != core) {
     PrintError(Status::Internal(
         "incremental coreness diverged from the BZ oracle"));
     return 1;
@@ -664,11 +570,11 @@ int CmdUpdates(const BuiltGraph& built, const std::string& engine,
               "epochs       %llu\nk_max        %u\nchanged      %s\n"
               "full_repeels %llu\nmodeled_ms   %.3f\nverify       ok (bz)\n",
               WithCommas(stream->size()).c_str(),
-              static_cast<unsigned long long>(inc->epoch()), oracle.MaxCore(),
+              static_cast<unsigned long long>(epochs), oracle.MaxCore(),
               WithCommas(total_changed).c_str(),
               static_cast<unsigned long long>(full_repeels),
               total_modeled_ms);
-  if (simcheck) std::printf("simcheck     clean\n");
+  if (flags.simcheck) std::printf("simcheck     clean\n");
   if (degraded_any) {
     PrintDegraded("one or more update batches finished on the exact CPU "
                   "path after device faults; answers exact");
@@ -734,56 +640,95 @@ int CmdExtract(const BuiltGraph& built, uint32_t k, const char* out_path) {
   return 0;
 }
 
+/// Routes `decompose` to its mode: --updates streaming, --k single-k
+/// mining, or a full decomposition.
+int CmdDecomposeModes(const BuiltGraph& built, const DecomposeFlags& flags) {
+  if (!flags.updates_path.empty()) {
+    if (flags.k || flags.fuse || flags.renumber || !flags.expand.empty() ||
+        flags.profiling() || !flags.nodes.empty() ||
+        !flags.partition.empty()) {
+      PrintError(Status::InvalidArgument(
+          "--updates streaming mode composes with --simcheck, --faults "
+          "and --timeout-ms only"));
+      return 1;
+    }
+    uint32_t batch_size = 64;
+    if (!flags.update_batch.empty()) {
+      auto parsed =
+          ParseCount("--update-batch", flags.update_batch, "batch size", 1);
+      if (!parsed.ok()) {
+        PrintError(parsed.status());
+        return 1;
+      }
+      batch_size = *parsed;
+    }
+    return CmdUpdates(built, flags, batch_size);
+  }
+  if (!flags.update_batch.empty()) {
+    PrintError(Status::InvalidArgument(
+        "--update-batch requires --updates=<stream>"));
+    return 1;
+  }
+  if (!flags.k) return CmdDecompose(built.graph, flags);
+  auto k = ParseCount("--k", *flags.k, "k", 1);
+  if (!k.ok()) {
+    PrintError(k.status());
+    return 1;
+  }
+  if (flags.fuse) {
+    PrintError(Status::InvalidArgument(
+        "--fuse applies to the full decomposition only (single-k mining "
+        "has no per-round scan/compact pair to fuse)"));
+    return 1;
+  }
+  if (!flags.nodes.empty() || !flags.partition.empty()) {
+    PrintError(Status::InvalidArgument(
+        "--nodes/--partition apply to the full cluster decomposition "
+        "only (single-k mining runs on one device)"));
+    return 1;
+  }
+  return CmdSingleK(built.graph, *k, flags);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Extract the --simcheck, --faults, --expand, --k, --renumber, --fuse,
-  // --trace and --prof-summary flags wherever they appear.
-  bool simcheck = false;
-  bool prof_summary = false;
-  bool renumber = false;
-  bool fuse = false;
-  bool have_k = false;
-  bool have_timeout = false;
-  std::string k_token;
-  std::string timeout_token;
-  std::string faults;
-  std::string expand;
-  std::string trace_path;
-  std::string updates_path;
-  std::string update_batch_token;
-  std::string nodes_token;
-  std::string partition_token;
+  // Extract the flags wherever they appear.
+  DecomposeFlags flags;
+  std::optional<std::string> timeout_token;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--simcheck") == 0) {
-      simcheck = true;
-    } else if (std::strcmp(argv[i], "--prof-summary") == 0) {
-      prof_summary = true;
-    } else if (std::strcmp(argv[i], "--renumber") == 0) {
-      renumber = true;
-    } else if (std::strcmp(argv[i], "--fuse") == 0) {
-      fuse = true;
-    } else if (std::strncmp(argv[i], "--k=", 4) == 0) {
-      have_k = true;
-      k_token = argv[i] + 4;
-    } else if (std::strncmp(argv[i], "--timeout-ms=", 13) == 0) {
-      have_timeout = true;
-      timeout_token = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--faults=", 9) == 0) {
-      faults = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--expand=", 9) == 0) {
-      expand = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--updates=", 10) == 0) {
-      updates_path = argv[i] + 10;
-    } else if (std::strncmp(argv[i], "--update-batch=", 15) == 0) {
-      update_batch_token = argv[i] + 15;
-    } else if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      nodes_token = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--partition=", 12) == 0) {
-      partition_token = argv[i] + 12;
+    const char* arg = argv[i];
+    const auto value = [arg](const char* prefix) -> const char* {
+      const size_t len = std::strlen(prefix);
+      return std::strncmp(arg, prefix, len) == 0 ? arg + len : nullptr;
+    };
+    if (std::strcmp(arg, "--simcheck") == 0) {
+      flags.simcheck = true;
+    } else if (std::strcmp(arg, "--prof-summary") == 0) {
+      flags.prof_summary = true;
+    } else if (std::strcmp(arg, "--renumber") == 0) {
+      flags.renumber = true;
+    } else if (std::strcmp(arg, "--fuse") == 0) {
+      flags.fuse = true;
+    } else if (const char* v = value("--k=")) {
+      flags.k = v;
+    } else if (const char* v = value("--timeout-ms=")) {
+      timeout_token = v;
+    } else if (const char* v = value("--faults=")) {
+      flags.faults = v;
+    } else if (const char* v = value("--expand=")) {
+      flags.expand = v;
+    } else if (const char* v = value("--trace=")) {
+      flags.trace_path = v;
+    } else if (const char* v = value("--updates=")) {
+      flags.updates_path = v;
+    } else if (const char* v = value("--update-batch=")) {
+      flags.update_batch = v;
+    } else if (const char* v = value("--nodes=")) {
+      flags.nodes = v;
+    } else if (const char* v = value("--partition=")) {
+      flags.partition = v;
     } else {
       argv[out++] = argv[i];
     }
@@ -802,86 +747,34 @@ int main(int argc, char** argv) {
   // One deadline for the whole command: admission-to-answer, enforced by
   // the engine at round boundaries.
   CancelContext lifecycle;
-  const CancelContext* cancel = nullptr;
-  if (have_timeout) {
-    auto timeout_ms = ParseTimeoutMillis(timeout_token);
+  if (timeout_token) {
+    auto timeout_ms = ParseCount("--timeout-ms", *timeout_token, "timeout", 0);
     if (!timeout_ms.ok()) {
       PrintError(timeout_ms.status());
       return 1;
     }
     lifecycle.deadline =
         Deadline::AfterMillis(static_cast<double>(*timeout_ms));
-    cancel = &lifecycle;
+    flags.cancel = &lifecycle;
   }
 
-  if (cancel != nullptr && command != "decompose") {
+  if (flags.cancel != nullptr && command != "decompose") {
     PrintError(Status::InvalidArgument(
         "--timeout-ms applies to the decompose command only"));
     return 1;
   }
   if (command == "stats") return CmdStats(built->graph);
   if (command == "decompose") {
-    const std::string engine = argc > 3 ? argv[3] : "gpu";
-    if (!updates_path.empty()) {
-      if (have_k || fuse || renumber || !expand.empty() ||
-          !trace_path.empty() || prof_summary || !nodes_token.empty() ||
-          !partition_token.empty()) {
-        PrintError(Status::InvalidArgument(
-            "--updates streaming mode composes with --simcheck, --faults "
-            "and --timeout-ms only"));
-        return 1;
-      }
-      uint64_t batch_size = 64;
-      if (!update_batch_token.empty()) {
-        auto parsed = ParseTimeoutMillis(update_batch_token);
-        if (!parsed.ok() || *parsed == 0) {
-          PrintError(Status::InvalidArgument(
-              "--update-batch=" + update_batch_token +
-              ": want a positive batch size"));
-          return 1;
-        }
-        batch_size = *parsed;
-      }
-      return CmdUpdates(*built, engine, updates_path, batch_size,
-                        simcheck, faults, cancel);
-    }
-    if (!update_batch_token.empty()) {
-      PrintError(Status::InvalidArgument(
-          "--update-batch requires --updates=<stream>"));
-      return 1;
-    }
-    if (have_k) {
-      auto k = ParseK(k_token);
-      if (!k.ok()) {
-        PrintError(k.status());
-        return 1;
-      }
-      if (fuse) {
-        PrintError(Status::InvalidArgument(
-            "--fuse applies to the full decomposition only (single-k mining "
-            "has no per-round scan/compact pair to fuse)"));
-        return 1;
-      }
-      if (!nodes_token.empty() || !partition_token.empty()) {
-        PrintError(Status::InvalidArgument(
-            "--nodes/--partition apply to the full cluster decomposition "
-            "only (single-k mining runs on one device)"));
-        return 1;
-      }
-      return CmdSingleK(built->graph, engine, *k, simcheck, faults, expand,
-                        renumber, trace_path, prof_summary, cancel);
-    }
-    return CmdDecompose(built->graph, engine, simcheck, faults, expand,
-                        renumber, fuse, trace_path, prof_summary, nodes_token,
-                        partition_token, cancel);
+    if (argc > 3) flags.engine = argv[3];
+    return CmdDecomposeModes(*built, flags);
   }
   if (command == "shells") return CmdShells(built->graph);
   if (command == "hierarchy") return CmdHierarchy(built->graph);
   if (command == "extract") {
     if (argc < 5) return Usage();
-    auto k = ParseK(argv[3]);  // strict: `extract g.txt foo out` used to
-    if (!k.ok()) {             // silently become k=0 via atoi
-      PrintError(k.status());
+    auto k = ParseCount("k", argv[3], "k", 1);  // strict: `extract g.txt foo
+    if (!k.ok()) {                              // out` used to silently
+      PrintError(k.status());                   // become k=0 via atoi
       return 1;
     }
     return CmdExtract(*built, *k, argv[4]);
