@@ -58,6 +58,7 @@ KcoreServer::KcoreServer(CsrGraph graph, ServerOptions options)
   // starve the breaker of its failure signal; the server owns degradation.
   options_.engine_config.gpu.resilience.cpu_fallback = false;
   options_.engine_config.multi_gpu.resilience.cpu_fallback = false;
+  options_.engine_config.cluster.resilience.cpu_fallback = false;
   options_.engine_config.incremental.cpu_fallback = false;
   options_.engine_config.incremental.repeel.resilience.cpu_fallback = false;
   primary_ = MakeEngine(options_.engine, options_.engine_config);

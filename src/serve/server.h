@@ -163,12 +163,13 @@ struct ServerStats {
 struct ServerOptions {
   /// Primary engine requests run on while the breaker is closed.
   EngineKind engine = EngineKind::kGpu;
-  /// Configuration handed to the primary engine. The server forces
-  /// `gpu.resilience.cpu_fallback = false` (and the multi-GPU equivalent):
-  /// engine-internal CPU fallback would hide permanent device loss from the
-  /// breaker, leaving it closed while every request quietly degrades. The
-  /// breaker IS the fallback policy at this layer; transient-op retries
-  /// inside the engine stay on.
+  /// Configuration handed to the primary engine. The server turns off
+  /// engine-internal CPU fallback (`resilience.cpu_fallback` on gpu,
+  /// multi_gpu and cluster; `cpu_fallback` and `repeel.resilience` on
+  /// incremental): it would hide permanent device loss from the breaker,
+  /// leaving it closed while every request quietly degrades. The breaker IS
+  /// the fallback policy at this layer; transient-op retries inside the
+  /// engine stay on.
   EngineConfig engine_config;
 
   /// Bounded queue capacities; a Submit beyond capacity is shed

@@ -278,13 +278,22 @@ TEST(ServerTest, HeavyWorkIsNotStarvedByPointBursts) {
   EXPECT_LE(heavy_response.metrics.run_order, 3u);
 }
 
-TEST(ServerTest, BreakerTripsOnRepeatedDeviceLossAndAnswersDegraded) {
+/// Four full decompositions on a `kind` primary whose every device dies at
+/// its first launch. The plan comes through fault_plan_fn, the one fault
+/// hook that reaches every engine's devices (engine_config.device is only
+/// the gpu engine's template). The breaker must see both failed attempts,
+/// not an engine-internal CPU fallback.
+void ExpectBreakerTripsOnDeviceLoss(EngineKind kind) {
+  SCOPED_TRACE(EngineKindName(kind));
   const CsrGraph graph = SoakGraph();
   const DecomposeResult oracle = RunBz(graph);
   ServerOptions options;
+  options.engine = kind;
   options.breaker_trip_threshold = 2;
   options.breaker_cooldown_requests = 100;  // stay open for this test
-  options.engine_config.device.fault_spec = "device_lost@launch=1";
+  options.fault_plan_fn = [](uint64_t) {
+    return std::string("device_lost@launch=1");
+  };
   KcoreServer server(graph, options);
 
   for (int i = 0; i < 4; ++i) {
@@ -309,6 +318,13 @@ TEST(ServerTest, BreakerTripsOnRepeatedDeviceLossAndAnswersDegraded) {
   EXPECT_EQ(stats.gpu_attempts, 2u);
   EXPECT_EQ(stats.gpu_failures, 2u);
   EXPECT_EQ(stats.degraded, 4u);
+}
+
+TEST(ServerTest, BreakerTripsOnRepeatedDeviceLossAndAnswersDegraded) {
+  for (EngineKind kind :
+       {EngineKind::kGpu, EngineKind::kMultiGpu, EngineKind::kCluster}) {
+    ExpectBreakerTripsOnDeviceLoss(kind);
+  }
 }
 
 TEST(ServerTest, BreakerRecoversThroughHalfOpenProbe) {
