@@ -275,7 +275,8 @@ StatusOr<DecomposeResult> RunClusterPeel(const CsrGraph& graph,
                        kTraceCatRecovery, 0, kTraceTidRanges, now_ns());
     }
     result.metrics.degraded = true;
-    DecomposeResult cpu = ResumePkc(graph, std::move(ckpt.deg), start_k);
+    DecomposeResult cpu =
+        ResumePkc(graph, std::move(ckpt.deg), start_k, pool);
     result.core = std::move(cpu.core);
     result.metrics.cpu_fallback_levels = cpu.metrics.rounds;
     result.metrics.rounds += cpu.metrics.rounds;

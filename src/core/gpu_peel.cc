@@ -1197,7 +1197,10 @@ StatusOr<DecomposeResult> GpuPeelDecomposer::Decompose(const CsrGraph& graph) {
     }
     result.metrics.degraded = true;
     if (cause.IsDeviceLost()) ++result.metrics.devices_lost;
-    DecomposeResult cpu = ResumePkc(graph, std::move(ckpt_deg), start_k);
+    ThreadPool* const pool = device_->options().pool;
+    DecomposeResult cpu =
+        ResumePkc(graph, std::move(ckpt_deg), start_k,
+                  pool != nullptr ? *pool : DefaultThreadPool());
     result.core = std::move(cpu.core);
     result.metrics.cpu_fallback_levels = cpu.metrics.rounds;
     result.metrics.rounds += cpu.metrics.rounds;

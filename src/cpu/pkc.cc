@@ -14,7 +14,8 @@ namespace kcore {
 namespace {
 
 DecomposeResult RunPkcImpl(const CsrGraph& graph, const PkcOptions& options,
-                           std::vector<uint32_t> deg0, uint32_t start_k) {
+                           std::vector<uint32_t> deg0, uint32_t start_k,
+                           ThreadPool& pool) {
   WallTimer timer;
   const VertexId n = graph.NumVertices();
   const uint32_t num_threads = options.num_threads;
@@ -56,7 +57,6 @@ DecomposeResult RunPkcImpl(const CsrGraph& graph, const PkcOptions& options,
 
   std::vector<PerfCounters> lanes(num_threads);
   std::vector<std::vector<VertexId>> local_buffers(num_threads);
-  ThreadPool& pool = DefaultThreadPool();
   uint64_t peak_local_buffer_items = 0;
 
   uint32_t k = start_k;
@@ -181,20 +181,21 @@ DecomposeResult RunPkcImpl(const CsrGraph& graph, const PkcOptions& options,
 
 DecomposeResult RunPkc(const CsrGraph& graph, const PkcOptions& options) {
   KCORE_CHECK_GE(options.num_threads, 1u);
-  return RunPkcImpl(graph, options, graph.DegreeArray(), /*start_k=*/0);
+  return RunPkcImpl(graph, options, graph.DegreeArray(), /*start_k=*/0,
+                    DefaultThreadPool());
 }
 
 DecomposeResult RunPkcSerial(const CsrGraph& graph, PkcVariant variant) {
   PkcOptions options;
   options.variant = variant;
   options.num_threads = 1;
-  return RunPkcImpl(graph, options, graph.DegreeArray(), /*start_k=*/0);
+  return RunPkcImpl(graph, options, graph.DegreeArray(), /*start_k=*/0,
+                    DefaultThreadPool());
 }
 
 DecomposeResult ResumePkc(const CsrGraph& graph, std::vector<uint32_t> deg,
-                          uint32_t start_k, const PkcOptions& options) {
-  KCORE_CHECK_GE(options.num_threads, 1u);
-  return RunPkcImpl(graph, options, std::move(deg), start_k);
+                          uint32_t start_k, ThreadPool& pool) {
+  return RunPkcImpl(graph, PkcOptions(), std::move(deg), start_k, pool);
 }
 
 }  // namespace kcore

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "graph/csr_graph.h"
 #include "perf/decompose_result.h"
 
@@ -46,8 +47,11 @@ DecomposeResult RunPkcSerial(const CsrGraph& graph,
 /// fallback path of the resilient GPU peel drivers: they hand over their
 /// last verified checkpoint when the device dies mid-decomposition, and the
 /// returned core array equals what an uninterrupted run would produce.
+/// Runs the default PkcOptions on `pool`, the caller's host threads: a
+/// driver given its own pool must not fall back onto DefaultThreadPool(),
+/// which runs one batch at a time and may be busy with another caller's.
 DecomposeResult ResumePkc(const CsrGraph& graph, std::vector<uint32_t> deg,
-                          uint32_t start_k, const PkcOptions& options = {});
+                          uint32_t start_k, ThreadPool& pool);
 
 }  // namespace kcore
 

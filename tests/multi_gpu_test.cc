@@ -145,6 +145,33 @@ TEST(MultiGpuTest, PeelsOnTheWorkerPoolBesideABusyDefaultPool) {
   EXPECT_EQ(result->core, oracle);
 }
 
+TEST(MultiGpuTest, CpuFallbackRunsOnTheWorkerPoolBesideABusyDefaultPool) {
+  // The same parked default-pool batch, but every worker dies at its first
+  // launch: the CPU fallback that finishes the run must stay on the
+  // fleet's pool too.
+  const auto g = testing::RandomSuite()[2].graph;
+  const std::vector<uint32_t> oracle = RunBz(g).core;
+  std::promise<void> parked;
+  std::atomic<bool> release{false};
+  std::thread helper([&] {
+    DefaultThreadPool().ParallelFor(1, [&](uint64_t) {
+      parked.set_value();
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  parked.get_future().wait();
+  ThreadPool pool(2);
+  MultiGpuOptions options;
+  options.worker_device.pool = &pool;
+  options.worker_device.fault_spec = "device_lost@launch=1";
+  auto result = RunMultiGpuPeel(g, options);
+  release.store(true);
+  helper.join();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->core, oracle);
+  EXPECT_TRUE(result->metrics.degraded);
+}
+
 // ---------------------------------------------------- Fault injection -----
 
 TEST(MultiGpuFaultTest, WorkerLossReshardsOntoSurvivors) {
