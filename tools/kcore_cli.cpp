@@ -772,9 +772,10 @@ int main(int argc, char** argv) {
   if (command == "hierarchy") return CmdHierarchy(built->graph);
   if (command == "extract") {
     if (argc < 5) return Usage();
-    auto k = ParseCount("k", argv[3], "k", 1);  // strict: `extract g.txt foo
-    if (!k.ok()) {                              // out` used to silently
-      PrintError(k.status());                   // become k=0 via atoi
+    // Strict: atoi would read `extract g.txt foo out` as the 0-core.
+    auto k = ParseCount("k", argv[3], "k", 1);
+    if (!k.ok()) {
+      PrintError(k.status());
       return 1;
     }
     return CmdExtract(*built, *k, argv[4]);
