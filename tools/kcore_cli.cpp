@@ -554,8 +554,8 @@ int CmdUpdates(const BuiltGraph& built, const DecomposeFlags& flags,
   // The stream's end state must match a from-scratch decomposition — the
   // CLI doubles as a smoke harness for the incremental path. An empty
   // stream commits no epoch, so the input graph is the end state.
-  StatusOr<CsrGraph> updated = graph;
-  if (epochs > 0) updated = engine->UpdatedGraph();
+  const StatusOr<CsrGraph> updated =
+      epochs > 0 ? engine->UpdatedGraph() : StatusOr<CsrGraph>(graph);
   if (!updated.ok()) {
     PrintError(updated.status());
     return 1;
